@@ -40,13 +40,15 @@ fn bench(c: &mut Criterion) {
             let mut bank = L2Bank::new(L2BankConfig::paper_default(), 0, 1);
             let mut l1s = L1Set::new(8, L1Config::paper_default());
             let mut served = 0u64;
+            let mut acts = Vec::new();
             for i in 0..500u64 {
                 let slot = Slot::new(CpuId((i % 8) as u8), CacheKind::Data);
                 let line = LineAddr(i % 64);
                 if l1s.get(slot).state(line).readable() || bank.is_pending(line) {
                     continue;
                 }
-                let acts = bank.handle(
+                acts.clear();
+                bank.handle(
                     BankEvent::Miss {
                         slot,
                         req: ReqType::Read,
@@ -55,6 +57,7 @@ fn bench(c: &mut Criterion) {
                         store_version: None,
                     },
                     &mut l1s,
+                    &mut acts,
                 );
                 served += acts.len() as u64;
                 if bank.is_pending(line) {
@@ -65,6 +68,7 @@ fn bench(c: &mut Criterion) {
                             remote: piranha::types::RemoteSummary::None,
                         },
                         &mut l1s,
+                        &mut acts,
                     );
                 }
             }

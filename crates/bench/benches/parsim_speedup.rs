@@ -12,9 +12,11 @@
 //! `rounds_per_us` (barrier rendezvous per simulated microsecond),
 //! windows, the empty-window fraction, and mean events per window. On a
 //! machine with ≥ 4 cores the 2-worker run must be ≥ 1.4× faster than
-//! serial and the 4-worker run ≥ 2.0× (the ISSUE acceptance bar); on
-//! smaller machines the speedups are reported but not asserted, since
-//! oversubscribed lane threads cannot beat the serial loop.
+//! serial and the 4-worker run ≥ 2.0×; on smaller machines the
+//! speedups are reported but not asserted. A worker count above the
+//! host's core count is not timed at all — oversubscribed lane threads
+//! measure the host's scheduler, not the engine — and is recorded in
+//! the report as `"result":"skipped"`.
 //!
 //! Not a Criterion target on purpose: one quick-scale multi-chip run is
 //! seconds, not microseconds, so a single timed run per worker count is
@@ -64,7 +66,15 @@ fn main() {
     );
 
     let mut rows = Vec::new();
+    let mut skipped = Vec::new();
     for workers in [2usize, 4] {
+        if workers > cores {
+            // More lane threads than cores only measures the host's
+            // scheduler, not the engine: record the count as skipped.
+            println!("  workers={workers}  skipped ({workers} workers > {cores} host cores)");
+            skipped.push(workers);
+            continue;
+        }
         let t0 = Instant::now();
         let (r, m) = run_config_parallel_machine(cfg.clone(), &w, scale, workers);
         let secs = t0.elapsed().as_secs_f64();
@@ -115,6 +125,9 @@ fn main() {
         .map(|(workers, secs, speedup)| {
             format!("{{\"workers\":{workers},\"seconds\":{secs:.3},\"speedup\":{speedup:.3}}}")
         })
+        .chain(skipped.iter().map(|workers| {
+            format!("{{\"workers\":{workers},\"result\":\"skipped\",\"host_cores\":{cores}}}")
+        }))
         .collect();
     let json = format!(
         "{{\"bench\":\"parsim_speedup\",\"config\":\"{}\",\"workload\":\"oltp\",\

@@ -28,6 +28,8 @@ pub struct CacheComplex {
     l1s: L1Set,
     banks: Vec<L2Bank>,
     bank_srv: Vec<Server>,
+    /// Reused action buffer between a bank and the output port.
+    acts: Vec<BankAction>,
 }
 
 impl CacheComplex {
@@ -38,6 +40,7 @@ impl CacheComplex {
             l1s,
             banks,
             bank_srv,
+            acts: Vec::new(),
         }
     }
 
@@ -85,7 +88,8 @@ impl Component for CacheComplex {
     type Ctx<'a> = ();
 
     fn handle(&mut self, now: SimTime, event: CacheEvent, _ctx: (), out: &mut Port<BankAction>) {
-        for act in self.banks[event.bank].handle(event.ev, &mut self.l1s) {
+        self.banks[event.bank].handle(event.ev, &mut self.l1s, &mut self.acts);
+        for act in self.acts.drain(..) {
             out.emit(now, act);
         }
     }

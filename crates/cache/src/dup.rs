@@ -14,6 +14,8 @@
 //! consolidated per-line record, which is behaviourally equivalent to the
 //! separate hardware structures and much easier to audit.
 
+use std::collections::hash_map::Entry;
+
 use piranha_types::FastMap;
 
 use piranha_types::{CacheKind, CpuId, LineAddr};
@@ -100,10 +102,39 @@ pub enum Owner {
     L1(Slot),
 }
 
+/// The L1 slots of one [`DupEntry`] holding a copy, in ascending slot
+/// order. A plain bitmask, so iterating it borrows nothing and the
+/// caller may update the directory as it goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Holders(u16);
+
+impl Iterator for Holders {
+    type Item = Slot;
+
+    fn next(&mut self) -> Option<Slot> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(Slot(i as u8))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Holders {}
+
 /// Consolidated per-line on-chip state at the owning L2 controller.
 #[derive(Debug, Clone)]
 pub struct DupEntry {
     l1: [Mesi; MAX_SLOTS],
+    /// Bit `i` is set iff `l1[i]` is readable: the holder set, kept in
+    /// step with `l1` by [`DupEntry::set_slot`].
+    held: u16,
     /// Current owner.
     pub owner: Owner,
     /// External (inter-node) state.
@@ -126,6 +157,7 @@ impl DupEntry {
     fn new(ext: ExtState) -> Self {
         DupEntry {
             l1: [Mesi::Invalid; MAX_SLOTS],
+            held: 0,
             owner: Owner::L2,
             ext,
             in_l2: false,
@@ -140,31 +172,35 @@ impl DupEntry {
         self.l1[slot.index()]
     }
 
-    /// Slots currently holding any copy.
-    pub fn holders(&self) -> impl Iterator<Item = Slot> + '_ {
-        self.l1
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.readable())
-            .map(|(i, _)| Slot(i as u8))
+    /// Record `state` for `slot`, keeping the holder mask in step.
+    fn set_slot(&mut self, slot: Slot, state: Mesi) {
+        self.l1[slot.index()] = state;
+        let bit = 1u16 << slot.index();
+        if state.readable() {
+            self.held |= bit;
+        } else {
+            self.held &= !bit;
+        }
+    }
+
+    /// Slots currently holding any copy, in ascending slot order.
+    pub fn holders(&self) -> Holders {
+        Holders(self.held)
     }
 
     /// The slot holding the line in E or M, if any.
     pub fn exclusive_holder(&self) -> Option<Slot> {
-        self.l1
-            .iter()
-            .position(|m| m.writable())
-            .map(|i| Slot(i as u8))
+        self.holders().find(|s| self.l1[s.index()].writable())
     }
 
     /// Number of L1 copies.
     pub fn holder_count(&self) -> usize {
-        self.l1.iter().filter(|m| m.readable()).count()
+        self.held.count_ones() as usize
     }
 
     /// Whether any copy (L1 or L2) exists on-chip.
     pub fn any_copy(&self) -> bool {
-        self.in_l2 || self.holder_count() > 0
+        self.in_l2 || self.held != 0
     }
 
     /// The version held by the current owner.
@@ -215,7 +251,7 @@ impl DupTags {
             e.owner = Owner::L1(slot);
             e
         });
-        e.l1[slot.index()] = state;
+        e.set_slot(slot, state);
         if state.writable() {
             e.owner = Owner::L1(slot);
         }
@@ -226,41 +262,45 @@ impl DupTags {
     /// removed when the last on-chip copy disappears. Returns the updated
     /// entry if it still exists.
     pub fn clear_l1(&mut self, line: LineAddr, slot: Slot) -> Option<&DupEntry> {
-        let e = self.lines.get_mut(&line)?;
-        e.l1[slot.index()] = Mesi::Invalid;
+        let Entry::Occupied(mut o) = self.lines.entry(line) else {
+            return None;
+        };
+        let e = o.get_mut();
+        e.set_slot(slot, Mesi::Invalid);
         if e.owner == Owner::L1(slot) {
             if e.in_l2 {
                 e.owner = Owner::L2;
-            } else {
-                let next = e.holders().next();
-                if let Some(s) = next {
-                    e.owner = Owner::L1(s);
-                }
+            } else if let Some(s) = e.holders().next() {
+                e.owner = Owner::L1(s);
             }
         }
-        if !e.any_copy() {
-            self.lines.remove(&line);
-            return None;
+        if e.any_copy() {
+            Some(o.into_mut())
+        } else {
+            o.remove();
+            None
         }
-        self.lines.get(&line)
     }
 
-    /// Record that the L2 now holds a valid copy and becomes owner.
+    /// Record that the L2 now holds a valid copy and becomes owner. The
+    /// dirtiness now lives on the L2 copy, so `node_dirty` is cleared.
     pub fn set_l2(&mut self, line: LineAddr, dirty: bool, version: u64, ext: ExtState) {
         let e = self.lines.entry(line).or_insert_with(|| DupEntry::new(ext));
         e.in_l2 = true;
         e.l2_dirty = dirty;
         e.l2_version = version;
         e.owner = Owner::L2;
+        e.node_dirty = false;
     }
 
     /// Record that the L2 copy is gone (eviction or exclusive grant to an
     /// L1). Ownership passes to `new_owner` if given, else to any
     /// remaining L1 sharer. Returns whether the entry still exists.
     pub fn clear_l2(&mut self, line: LineAddr, new_owner: Option<Slot>) -> bool {
-        let Some(e) = self.lines.get_mut(&line) else {
+        let Entry::Occupied(mut o) = self.lines.entry(line) else {
             return false;
         };
+        let e = o.get_mut();
         e.in_l2 = false;
         e.l2_dirty = false;
         if e.owner == Owner::L2 {
@@ -268,11 +308,12 @@ impl DupTags {
                 e.owner = Owner::L1(s);
             }
         }
-        if !e.any_copy() {
-            self.lines.remove(&line);
-            return false;
+        if e.any_copy() {
+            true
+        } else {
+            o.remove();
+            false
         }
-        true
     }
 
     /// Remove a line entirely (all copies invalidated). Returns the entry.

@@ -43,6 +43,16 @@ struct Entry {
     stamp: u64,
 }
 
+/// `key % sets`, as a mask when `sets` is a power of two (every paper
+/// geometry), sparing the hot lookup path a division.
+pub(crate) fn set_of(key: u64, sets: u64) -> usize {
+    if sets.is_power_of_two() {
+        (key & (sets - 1)) as usize
+    } else {
+        (key % sets) as usize
+    }
+}
+
 /// A first-level cache (either iL1 or dL1).
 ///
 /// # Examples
@@ -62,7 +72,9 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     cfg: L1Config,
-    sets: Vec<Vec<Option<Entry>>>,
+    /// Set-major way array: set `s` is `ways[s * cfg.ways..][..cfg.ways]`.
+    ways: Vec<Option<Entry>>,
+    sets: u64,
     tick: u64,
 }
 
@@ -72,48 +84,57 @@ impl L1Cache {
         let sets = cfg.sets();
         L1Cache {
             cfg,
-            sets: vec![vec![None; cfg.ways]; sets],
+            ways: vec![None; sets * cfg.ways],
+            sets: sets as u64,
             tick: 0,
         }
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.0 % self.sets.len() as u64) as usize
+    /// Index of the first way of `line`'s set.
+    fn set_base(&self, line: LineAddr) -> usize {
+        set_of(line.0, self.sets) * self.cfg.ways
     }
 
-    fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
-        let si = self.set_index(line);
-        self.sets[si]
+    /// Index of the way holding `line`, if resident.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let base = self.set_base(line);
+        self.ways[base..base + self.cfg.ways]
             .iter()
             .position(|e| e.is_some_and(|e| e.tag == line.0))
-            .map(|wi| (si, wi))
+            .map(|wi| base + wi)
     }
 
-    fn touch(&mut self, si: usize, wi: usize) {
+    fn entry(&self, i: usize) -> &Entry {
+        self.ways[i].as_ref().expect("found way is valid")
+    }
+
+    fn entry_mut(&mut self, i: usize) -> &mut Entry {
+        self.ways[i].as_mut().expect("found way is valid")
+    }
+
+    fn touch(&mut self, i: usize) {
         self.tick += 1;
-        if let Some(e) = &mut self.sets[si][wi] {
-            e.stamp = self.tick;
-        }
+        let tick = self.tick;
+        self.entry_mut(i).stamp = tick;
     }
 
     /// The MESI state of `line` ([`Mesi::Invalid`] if absent).
     pub fn state(&self, line: LineAddr) -> Mesi {
         self.find(line)
-            .map_or(Mesi::Invalid, |(si, wi)| self.sets[si][wi].unwrap().state)
+            .map_or(Mesi::Invalid, |i| self.entry(i).state)
     }
 
     /// The data version of `line`, if present.
     pub fn version(&self, line: LineAddr) -> Option<u64> {
-        self.find(line)
-            .map(|(si, wi)| self.sets[si][wi].unwrap().version)
+        self.find(line).map(|i| self.entry(i).version)
     }
 
     /// Attempt a read (load or instruction fetch). Returns whether it hit;
     /// a hit refreshes LRU state.
     pub fn access_read(&mut self, line: LineAddr) -> bool {
         match self.find(line) {
-            Some((si, wi)) => {
-                self.touch(si, wi);
+            Some(i) => {
+                self.touch(i);
                 true
             }
             None => false,
@@ -124,13 +145,12 @@ impl L1Cache {
     /// stamping `version` (an E copy silently becomes M, as MESI allows).
     pub fn store(&mut self, line: LineAddr, version: u64) -> StoreOutcome {
         match self.find(line) {
-            Some((si, wi)) => {
-                let state = self.sets[si][wi].unwrap().state;
-                if state.writable() {
-                    let e = self.sets[si][wi].as_mut().unwrap();
+            Some(i) => {
+                let e = self.entry_mut(i);
+                if e.state.writable() {
                     e.state = Mesi::Modified;
                     e.version = version;
-                    self.touch(si, wi);
+                    self.touch(i);
                     StoreOutcome::Hit
                 } else {
                     StoreOutcome::NeedUpgrade
@@ -153,7 +173,7 @@ impl L1Cache {
             self.find(line).is_none(),
             "fill of already-present line {line}"
         );
-        let si = self.set_index(line);
+        let base = self.set_base(line);
         self.tick += 1;
         let entry = Entry {
             tag: line.0,
@@ -161,18 +181,18 @@ impl L1Cache {
             version,
             stamp: self.tick,
         };
+        let set = &mut self.ways[base..base + self.cfg.ways];
         // Prefer an invalid way.
-        if let Some(wi) = self.sets[si].iter().position(Option::is_none) {
-            self.sets[si][wi] = Some(entry);
+        if let Some(w) = set.iter_mut().find(|e| e.is_none()) {
+            *w = Some(entry);
             return None;
         }
-        // Evict the LRU way.
-        let (wi, _) = self.sets[si]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.unwrap().stamp)
+        // Evict the LRU way (stamps are unique, so the choice is too).
+        let w = set
+            .iter_mut()
+            .min_by_key(|e| e.expect("full set").stamp)
             .expect("set has ways");
-        let old = self.sets[si][wi].replace(entry).unwrap();
+        let old = w.replace(entry).expect("full set");
         Some(Victim {
             line: LineAddr(old.tag),
             state: old.state,
@@ -188,46 +208,45 @@ impl L1Cache {
     /// where the copy was invalidated must be resolved by the L2 granting
     /// a full fill instead).
     pub fn upgrade(&mut self, line: LineAddr, version: u64) {
-        let (si, wi) = self.find(line).expect("upgrade of absent line");
-        let e = self.sets[si][wi].as_mut().unwrap();
+        let i = self.find(line).expect("upgrade of absent line");
+        let e = self.entry_mut(i);
         assert_eq!(e.state, Mesi::Shared, "upgrade from non-Shared state");
         e.state = Mesi::Modified;
         e.version = version;
-        self.touch(si, wi);
+        self.touch(i);
     }
 
     /// Invalidate `line` (coherence action), returning its state and
     /// version if it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(Mesi, u64)> {
-        let (si, wi) = self.find(line)?;
-        let e = self.sets[si][wi].take().unwrap();
+        let i = self.find(line)?;
+        let e = self.ways[i].take().expect("found way is valid");
         Some((e.state, e.version))
     }
 
     /// Downgrade `line` to Shared (servicing a read forward), returning
     /// `(was_dirty, version)` if present.
     pub fn downgrade(&mut self, line: LineAddr) -> Option<(bool, u64)> {
-        let (si, wi) = self.find(line)?;
-        let e = self.sets[si][wi].as_mut().unwrap();
+        let i = self.find(line)?;
+        let e = self.entry_mut(i);
         let dirty = e.state.dirty();
         let v = e.version;
         e.state = Mesi::Shared;
         Some((dirty, v))
     }
 
-    /// Iterate over all resident lines as `(line, state, version)`; used
-    /// by invariant checks in tests.
+    /// Iterate over all resident lines as `(line, state, version)`, in
+    /// set-major way order; used by invariant checks in tests.
     pub fn resident(&self) -> impl Iterator<Item = (LineAddr, Mesi, u64)> + '_ {
-        self.sets
+        self.ways
             .iter()
-            .flatten()
             .flatten()
             .map(|e| (LineAddr(e.tag), e.state, e.version))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().flatten().flatten().count()
+        self.ways.iter().flatten().count()
     }
 
     /// Whether the cache is empty.
@@ -352,6 +371,60 @@ mod tests {
         assert!(l1.access_read(a));
         assert!(l1.access_read(c));
         assert!(!l1.access_read(b));
+    }
+
+    #[test]
+    fn lru_is_tracked_per_set() {
+        // 4 sets x 2 ways: filling and touching one set must not move
+        // the LRU order of a neighbouring set in the flat way array.
+        let mut l1 = L1Cache::new(L1Config {
+            size_bytes: 8 * 64,
+            ways: 2,
+        });
+        let in_set = |s: u64, i: u64| LineAddr(s + 4 * i);
+        for s in 0..4 {
+            l1.fill(in_set(s, 0), Mesi::Shared, s);
+            l1.fill(in_set(s, 1), Mesi::Shared, s);
+        }
+        // Refresh way 0 of set 1 only; every other set keeps way 0 LRU.
+        assert!(l1.access_read(in_set(1, 0)));
+        for s in 0..4 {
+            let v = l1.fill(in_set(s, 2), Mesi::Shared, 9).expect("full set");
+            let lru = if s == 1 { in_set(s, 1) } else { in_set(s, 0) };
+            assert_eq!(v.line, lru, "set {s}");
+            assert_eq!(v.version, s);
+        }
+        assert_eq!(l1.len(), 8);
+    }
+
+    #[test]
+    fn direct_mapped_evicts_on_every_conflict() {
+        // 4 sets x 1 way.
+        let mut l1 = L1Cache::new(L1Config {
+            size_bytes: 4 * 64,
+            ways: 1,
+        });
+        assert!(l1.fill(LineAddr(1), Mesi::Shared, 1).is_none());
+        assert!(l1.fill(LineAddr(2), Mesi::Shared, 2).is_none());
+        // Line 5 maps to line 1's set: line 1 goes, however recent.
+        assert!(l1.access_read(LineAddr(1)));
+        let v = l1.fill(LineAddr(5), Mesi::Exclusive, 5).unwrap();
+        assert_eq!(
+            v,
+            Victim {
+                line: LineAddr(1),
+                state: Mesi::Shared,
+                version: 1
+            }
+        );
+        assert!(l1.access_read(LineAddr(2)), "other sets untouched");
+        assert!(!l1.access_read(LineAddr(1)));
+        // An invalidated way is refilled without a victim.
+        l1.invalidate(LineAddr(5));
+        assert!(l1.fill(LineAddr(9), Mesi::Shared, 9).is_none());
+        let mut got: Vec<_> = l1.resident().map(|(l, _, _)| l).collect();
+        got.sort();
+        assert_eq!(got, vec![LineAddr(2), LineAddr(9)]);
     }
 
     #[test]

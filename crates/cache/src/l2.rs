@@ -39,7 +39,7 @@ use piranha_types::{FillSource, LineAddr, RemoteSummary, ReqType};
 
 use crate::config::L2BankConfig;
 use crate::dup::{DupTags, ExtState, Owner, Slot};
-use crate::l1::L1Set;
+use crate::l1::{set_of, L1Set};
 use crate::mesi::Mesi;
 
 /// An input to the bank state machine.
@@ -267,27 +267,42 @@ struct Pending {
 /// "round-robin (or least-recently-loaded) replacement policy".
 #[derive(Debug)]
 struct L2Array {
-    sets: Vec<Vec<Option<(u64, u64)>>>, // (tag, load_stamp)
+    /// Set-major `(tag, load_stamp)` array: set `s` is
+    /// `ways[s * assoc..][..assoc]`; `None` marks an empty way.
+    ways: Vec<Option<(u64, u64)>>,
+    assoc: usize,
+    sets: u64,
     tick: u64,
 }
 
 impl L2Array {
     fn new(cfg: L2BankConfig) -> Self {
+        let sets = cfg.sets();
         L2Array {
-            sets: vec![vec![None; cfg.ways]; cfg.sets()],
+            ways: vec![None; sets * cfg.ways],
+            assoc: cfg.ways,
+            sets: sets as u64,
             tick: 0,
         }
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        ((line.0 / 8) % self.sets.len() as u64) as usize
+    /// The ways of `line`'s set, as a range of `ways`.
+    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
+        let base = set_of(line.0 / 8, self.sets) * self.assoc;
+        base..base + self.assoc
+    }
+
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let r = self.set_range(line);
+        let base = r.start;
+        self.ways[r]
+            .iter()
+            .position(|e| e.is_some_and(|(t, _)| t == line.0))
+            .map(|w| base + w)
     }
 
     fn contains(&self, line: LineAddr) -> bool {
-        let si = self.set_index(line);
-        self.sets[si]
-            .iter()
-            .any(|e| e.is_some_and(|(t, _)| t == line.0))
+        self.find(line).is_some()
     }
 
     /// Allocate `line`, returning the evicted line if the set was full.
@@ -295,36 +310,40 @@ impl L2Array {
     /// skipped when choosing a victim if possible.
     fn allocate(&mut self, line: LineAddr, avoid: impl Fn(LineAddr) -> bool) -> Option<LineAddr> {
         debug_assert!(!self.contains(line), "L2 allocate of resident line");
-        let si = self.set_index(line);
+        let r = self.set_range(line);
         self.tick += 1;
-        if let Some(wi) = self.sets[si].iter().position(Option::is_none) {
-            self.sets[si][wi] = Some((line.0, self.tick));
+        let set = &mut self.ways[r];
+        if let Some(w) = set.iter_mut().find(|e| e.is_none()) {
+            *w = Some((line.0, self.tick));
             return None;
         }
-        let pick = self.sets[si]
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !avoid(LineAddr(e.unwrap().0)))
-            .min_by_key(|(_, e)| e.unwrap().1)
-            .or_else(|| {
-                self.sets[si]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.unwrap().1)
-            });
-        let (wi, _) = pick.expect("set has ways");
-        let old = self.sets[si][wi].replace((line.0, self.tick)).unwrap();
+        let way = |w: usize| set[w].expect("full set");
+        let stamp = |w: &usize| way(*w).1;
+        let w = (0..set.len())
+            .filter(|&w| !avoid(LineAddr(way(w).0)))
+            .min_by_key(stamp)
+            .or_else(|| (0..set.len()).min_by_key(stamp))
+            .expect("set has ways");
+        let old = set[w].replace((line.0, self.tick)).expect("full set");
         Some(LineAddr(old.0))
     }
 
     fn remove(&mut self, line: LineAddr) {
-        let si = self.set_index(line);
-        if let Some(w) = self.sets[si]
-            .iter_mut()
-            .find(|e| e.is_some_and(|(t, _)| t == line.0))
-        {
-            *w = None;
+        if let Some(w) = self.find(line) {
+            self.ways[w] = None;
         }
+    }
+
+    /// Every resident line, sorted.
+    fn resident(&self) -> Vec<LineAddr> {
+        let mut lines: Vec<LineAddr> = self
+            .ways
+            .iter()
+            .flatten()
+            .map(|&(t, _)| LineAddr(t))
+            .collect();
+        lines.sort_unstable();
+        lines
     }
 }
 
@@ -340,7 +359,8 @@ impl L2Array {
 /// let mut bank = L2Bank::new(L2BankConfig::paper_default(), 0, 1);
 /// let mut l1s = L1Set::new(8, L1Config::paper_default());
 /// // A cold read miss on a locally-homed line goes to memory.
-/// let acts = bank.handle(
+/// let mut acts = Vec::new();
+/// bank.handle(
 ///     BankEvent::Miss {
 ///         slot: Slot(1),
 ///         req: ReqType::Read,
@@ -349,6 +369,7 @@ impl L2Array {
 ///         store_version: None,
 ///     },
 ///     &mut l1s,
+///     &mut acts,
 /// );
 /// assert_eq!(acts, vec![BankAction::ReadMem { line: LineAddr(64) }]);
 /// ```
@@ -407,26 +428,19 @@ impl L2Bank {
     /// array's occupancy irrespective of load stamps, for
     /// warming-fidelity checks.
     pub fn resident_lines(&self) -> Vec<LineAddr> {
-        let mut lines: Vec<LineAddr> = self
-            .array
-            .sets
-            .iter()
-            .flat_map(|s| s.iter().flatten().map(|&(t, _)| LineAddr(t)))
-            .collect();
-        lines.sort_unstable();
-        lines
+        self.array.resident()
     }
 
     /// Feed one event through the bank, applying coherence state changes
-    /// to `l1s` and returning the timing actions.
+    /// to `l1s` and appending the timing actions to `out` (a buffer the
+    /// caller owns and reuses, so the miss path allocates nothing).
     ///
     /// # Panics
     ///
     /// Panics if the event concerns a line this bank does not own, or on
     /// internal protocol invariant violations (which indicate bugs, not
     /// recoverable conditions).
-    pub fn handle(&mut self, ev: BankEvent, l1s: &mut L1Set) -> Vec<BankAction> {
-        let mut out = Vec::new();
+    pub fn handle(&mut self, ev: BankEvent, l1s: &mut L1Set, out: &mut Vec<BankAction>) {
         match ev {
             BankEvent::Miss {
                 slot,
@@ -444,7 +458,7 @@ impl L2Bank {
                         store_version,
                     });
                 } else {
-                    self.start_miss(slot, req, line, home_local, store_version, l1s, &mut out);
+                    self.start_miss(slot, req, line, home_local, store_version, l1s, out);
                 }
             }
             BankEvent::Victim {
@@ -457,14 +471,14 @@ impl L2Bank {
                     self.owns(line),
                     "victim for line {line} routed to wrong bank"
                 );
-                self.victim(slot, line, state, version, &mut out);
+                self.victim(slot, line, state, version, out);
             }
             BankEvent::MemData {
                 line,
                 version,
                 remote,
             } => {
-                self.mem_data(line, version, remote, l1s, &mut out);
+                self.mem_data(line, version, remote, l1s, out);
             }
             BankEvent::RemoteFill {
                 line,
@@ -472,7 +486,7 @@ impl L2Bank {
                 version,
                 source,
             } => {
-                self.remote_fill(line, grant, version, source, l1s, &mut out);
+                self.remote_fill(line, grant, version, source, l1s, out);
             }
             BankEvent::Export { line, excl } => {
                 assert!(
@@ -482,14 +496,13 @@ impl L2Bank {
                 if let Some(p) = self.pending.get_mut(&line) {
                     p.waiters.push_back(MissWaiter::Export { excl });
                 } else {
-                    self.start_export(line, excl, l1s, &mut out);
+                    self.start_export(line, excl, l1s, out);
                 }
             }
             BankEvent::InvalAll { line } => {
-                self.inval_all(line, l1s, &mut out);
+                self.inval_all(line, l1s, out);
             }
         }
-        out
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -676,7 +689,7 @@ impl L2Bank {
         let owner0 = e.owner;
         let in_l2 = e.in_l2;
         let requester_holds = e.l1_state(slot).readable();
-        let holders: Vec<Slot> = e.holders().collect();
+        let holders = e.holders();
         let mut source = FillSource::L2Hit;
         for h in holders {
             if h == slot {
@@ -792,10 +805,9 @@ impl L2Bank {
         if let Some(victim_line) = self.array.allocate(line, |l| pending.contains_key(&l)) {
             self.evict_l2_line(victim_line, out);
         }
+        // `set_l2` also clears `node_dirty`: the dirtiness now lives on
+        // the L2 copy.
         self.dup.set_l2(line, dirty, version, ext);
-        if let Some(en) = self.dup.get_mut(line) {
-            en.node_dirty = false; // dirtiness now recorded on the L2 copy
-        }
     }
 
     /// Evict a line from the L2 array (capacity): dirty data is written
@@ -994,7 +1006,7 @@ impl L2Bank {
             // local holders (exclusivity is now node-wide ours).
             assert!(grant.writable(), "upgrade reply must grant exclusivity");
             let sv = store_version.expect("upgrade was a store");
-            let holders: Vec<Slot> = self.dup.get(line).unwrap().holders().collect();
+            let holders = self.dup.get(line).unwrap().holders();
             for h in holders {
                 if h == slot {
                     continue;
@@ -1066,7 +1078,7 @@ impl L2Bank {
     /// and inter-node invalidations).
     fn purge_on_chip(&mut self, line: LineAddr, l1s: &mut L1Set, out: &mut Vec<BankAction>) {
         let Some(e) = self.dup.get(line) else { return };
-        let holders: Vec<Slot> = e.holders().collect();
+        let holders = e.holders();
         let in_l2 = e.in_l2;
         for h in holders {
             l1s.get_mut(h).invalidate(line);
@@ -1187,6 +1199,13 @@ mod tests {
         )
     }
 
+    /// Feed one event through `bank` into a fresh action list.
+    fn run(bank: &mut L2Bank, ev: BankEvent, l1s: &mut L1Set) -> Vec<BankAction> {
+        let mut out = Vec::new();
+        bank.handle(ev, l1s, &mut out);
+        out
+    }
+
     fn d(cpu: u8) -> Slot {
         Slot::new(CpuId(cpu), CacheKind::Data)
     }
@@ -1229,11 +1248,51 @@ mod tests {
         }
     }
 
+    /// 2 sets x 2 ways; lines `8 * (2k + s) + j` map to set `s`.
+    fn tiny_array() -> L2Array {
+        L2Array::new(L2BankConfig {
+            size_bytes: 4 * 64,
+            ways: 2,
+        })
+    }
+
+    #[test]
+    fn l2_array_evicts_least_recently_loaded_per_set() {
+        let mut a = tiny_array();
+        let (x, y, z) = (LineAddr(0), LineAddr(16), LineAddr(32)); // set 0
+        let other = LineAddr(8); // set 1
+        assert_eq!(a.allocate(x, |_| false), None);
+        assert_eq!(a.allocate(other, |_| false), None);
+        assert_eq!(a.allocate(y, |_| false), None);
+        // Lookups do not refresh load order: x is still the oldest.
+        assert!(a.contains(x));
+        assert_eq!(a.allocate(z, |_| false), Some(x));
+        assert!(a.contains(other), "set 1 untouched");
+        assert_eq!(a.resident(), vec![other, y, z]);
+        // A removed way is refilled without a victim.
+        a.remove(y);
+        assert_eq!(a.allocate(x, |_| false), None);
+        assert_eq!(a.resident(), vec![LineAddr(0), other, z]);
+    }
+
+    #[test]
+    fn l2_array_skips_avoided_victims_unless_all_are_avoided() {
+        let mut a = tiny_array();
+        let (x, y, z) = (LineAddr(0), LineAddr(16), LineAddr(32));
+        a.allocate(x, |_| false);
+        a.allocate(y, |_| false);
+        // x is oldest but pending: y goes instead.
+        assert_eq!(a.allocate(z, |l| l == x), Some(y));
+        // Everything avoided: fall back to the oldest load (x).
+        assert_eq!(a.allocate(LineAddr(48), |_| true), Some(x));
+        assert_eq!(a.resident(), vec![z, LineAddr(48)]);
+    }
+
     /// Cold read fills from memory, no L2 allocation, clean-exclusive.
     #[test]
     fn cold_read_fills_exclusive_bypassing_l2() {
         let (mut bank, mut l1s) = setup();
-        let a = bank.handle(read(d(0), 100, HOME), &mut l1s);
+        let a = run(&mut bank, read(d(0), 100, HOME), &mut l1s);
         assert_eq!(
             a,
             vec![BankAction::ReadMem {
@@ -1241,7 +1300,7 @@ mod tests {
             }]
         );
         assert!(bank.is_pending(LineAddr(100)));
-        let a = bank.handle(mem_data(100, 5, RemoteSummary::None), &mut l1s);
+        let a = run(&mut bank, mem_data(100, 5, RemoteSummary::None), &mut l1s);
         assert!(matches!(
             a[0],
             BankAction::Grant {
@@ -1264,9 +1323,9 @@ mod tests {
     #[test]
     fn second_read_forwards_to_owner_l1() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(read(d(0), 100, HOME), &mut l1s);
-        bank.handle(mem_data(100, 5, RemoteSummary::None), &mut l1s);
-        let a = bank.handle(read(d(1), 100, HOME), &mut l1s);
+        run(&mut bank, read(d(0), 100, HOME), &mut l1s);
+        run(&mut bank, mem_data(100, 5, RemoteSummary::None), &mut l1s);
+        let a = run(&mut bank, read(d(1), 100, HOME), &mut l1s);
         assert!(a.contains(&BankAction::Downgrade {
             slot: d(0),
             line: LineAddr(100)
@@ -1291,10 +1350,10 @@ mod tests {
     #[test]
     fn upgrade_invalidates_other_sharers() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(read(d(0), 100, HOME), &mut l1s);
-        bank.handle(mem_data(100, 5, RemoteSummary::None), &mut l1s);
-        bank.handle(read(d(1), 100, HOME), &mut l1s);
-        let a = bank.handle(upgrade(d(1), 100, HOME, 9), &mut l1s);
+        run(&mut bank, read(d(0), 100, HOME), &mut l1s);
+        run(&mut bank, mem_data(100, 5, RemoteSummary::None), &mut l1s);
+        run(&mut bank, read(d(1), 100, HOME), &mut l1s);
+        let a = run(&mut bank, upgrade(d(1), 100, HOME, 9), &mut l1s);
         assert!(a.contains(&BankAction::Inval {
             slot: d(0),
             line: LineAddr(100)
@@ -1317,9 +1376,9 @@ mod tests {
     #[test]
     fn readex_steals_from_dirty_owner() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(readex(d(0), 100, HOME, 7), &mut l1s);
+        run(&mut bank, readex(d(0), 100, HOME, 7), &mut l1s);
         // pending memory read even for ReadEx
-        let a = bank.handle(mem_data(100, 0, RemoteSummary::None), &mut l1s);
+        let a = run(&mut bank, mem_data(100, 0, RemoteSummary::None), &mut l1s);
         assert!(
             matches!(
                 a[0],
@@ -1332,7 +1391,7 @@ mod tests {
             "store version stamped on fill: {a:?}"
         );
         // d(0) now holds M with version 7. Another CPU stores.
-        let a = bank.handle(readex(d(1), 100, HOME, 8), &mut l1s);
+        let a = run(&mut bank, readex(d(1), 100, HOME, 8), &mut l1s);
         assert!(a.contains(&BankAction::Inval {
             slot: d(0),
             line: LineAddr(100)
@@ -1358,10 +1417,11 @@ mod tests {
     #[test]
     fn owner_victim_fills_l2_and_later_read_hits() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(read(d(0), 100, HOME), &mut l1s);
-        bank.handle(mem_data(100, 5, RemoteSummary::None), &mut l1s);
+        run(&mut bank, read(d(0), 100, HOME), &mut l1s);
+        run(&mut bank, mem_data(100, 5, RemoteSummary::None), &mut l1s);
         // Owner evicts (clean E): still written to L2.
-        let a = bank.handle(
+        let a = run(
+            &mut bank,
             BankEvent::Victim {
                 slot: d(0),
                 line: LineAddr(100),
@@ -1379,7 +1439,7 @@ mod tests {
         assert_eq!(e.owner, Owner::L2);
         assert!(!e.l2_dirty);
         // A later read is an L2 hit (clean-exclusive again).
-        let a = bank.handle(read(d(1), 100, HOME), &mut l1s);
+        let a = run(&mut bank, read(d(1), 100, HOME), &mut l1s);
         assert!(matches!(
             a.last().unwrap(),
             BankAction::Grant {
@@ -1399,11 +1459,12 @@ mod tests {
     #[test]
     fn non_owner_victim_is_silent() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(read(d(0), 100, HOME), &mut l1s);
-        bank.handle(mem_data(100, 5, RemoteSummary::None), &mut l1s);
-        bank.handle(read(d(1), 100, HOME), &mut l1s); // d(1) now owner
-                                                      // d(0) evicts its Shared copy: not the owner → silent.
-        let a = bank.handle(
+        run(&mut bank, read(d(0), 100, HOME), &mut l1s);
+        run(&mut bank, mem_data(100, 5, RemoteSummary::None), &mut l1s);
+        run(&mut bank, read(d(1), 100, HOME), &mut l1s); // d(1) now owner
+                                                         // d(0) evicts its Shared copy: not the owner → silent.
+        let a = run(
+            &mut bank,
             BankEvent::Victim {
                 slot: d(0),
                 line: LineAddr(100),
@@ -1415,7 +1476,8 @@ mod tests {
         assert!(a.is_empty());
         assert!(!bank.in_array(LineAddr(100)));
         // Owner d(1) evicts: write-back to L2.
-        bank.handle(
+        run(
+            &mut bank,
             BankEvent::Victim {
                 slot: d(1),
                 line: LineAddr(100),
@@ -1433,12 +1495,13 @@ mod tests {
     #[test]
     fn node_dirty_survives_downgrade_chain() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(readex(d(0), 100, HOME, 7), &mut l1s);
-        bank.handle(mem_data(100, 0, RemoteSummary::None), &mut l1s); // M v7 at d0
-        bank.handle(read(d(1), 100, HOME), &mut l1s); // downgrade d0, d1 owner (S)
+        run(&mut bank, readex(d(0), 100, HOME, 7), &mut l1s);
+        run(&mut bank, mem_data(100, 0, RemoteSummary::None), &mut l1s); // M v7 at d0
+        run(&mut bank, read(d(1), 100, HOME), &mut l1s); // downgrade d0, d1 owner (S)
         assert!(bank.dup().get(LineAddr(100)).unwrap().node_dirty);
         // Owner d1 evicts its *Shared* copy: must still write back.
-        bank.handle(
+        run(
+            &mut bank,
             BankEvent::Victim {
                 slot: d(1),
                 line: LineAddr(100),
@@ -1468,10 +1531,10 @@ mod tests {
     #[test]
     fn pending_blocks_and_replays_waiters() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(read(d(0), 100, HOME), &mut l1s);
-        let a = bank.handle(read(d(1), 100, HOME), &mut l1s);
+        run(&mut bank, read(d(0), 100, HOME), &mut l1s);
+        let a = run(&mut bank, read(d(1), 100, HOME), &mut l1s);
         assert!(a.is_empty(), "second miss must queue: {a:?}");
-        let a = bank.handle(mem_data(100, 5, RemoteSummary::None), &mut l1s);
+        let a = run(&mut bank, mem_data(100, 5, RemoteSummary::None), &mut l1s);
         // First grant to d0 (E from memory), then replay: d1 forwards
         // from d0.
         let grants: Vec<Slot> = a
@@ -1491,7 +1554,7 @@ mod tests {
     #[test]
     fn remote_miss_roundtrip() {
         let (mut bank, mut l1s) = setup();
-        let a = bank.handle(read(d(0), 100, REMOTE), &mut l1s);
+        let a = run(&mut bank, read(d(0), 100, REMOTE), &mut l1s);
         assert_eq!(
             a,
             vec![BankAction::RemoteReq {
@@ -1500,7 +1563,8 @@ mod tests {
                 req: ReqType::Read
             }]
         );
-        let a = bank.handle(
+        let a = run(
+            &mut bank,
             BankEvent::RemoteFill {
                 line: LineAddr(100),
                 grant: Mesi::Shared,
@@ -1521,7 +1585,7 @@ mod tests {
             ExtState::HeldShared
         );
         // A store on the held-shared copy must upgrade through home.
-        let a = bank.handle(upgrade(d(0), 100, REMOTE, 9), &mut l1s);
+        let a = run(&mut bank, upgrade(d(0), 100, REMOTE, 9), &mut l1s);
         assert_eq!(
             a,
             vec![BankAction::RemoteReq {
@@ -1531,7 +1595,8 @@ mod tests {
             }]
         );
         // Ack-only reply completes the upgrade in place.
-        let a = bank.handle(
+        let a = run(
+            &mut bank,
             BankEvent::RemoteFill {
                 line: LineAddr(100),
                 grant: Mesi::Exclusive,
@@ -1560,8 +1625,9 @@ mod tests {
     #[test]
     fn upgrade_race_resolved_with_data_reply() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(read(d(0), 100, REMOTE), &mut l1s);
-        bank.handle(
+        run(&mut bank, read(d(0), 100, REMOTE), &mut l1s);
+        run(
+            &mut bank,
             BankEvent::RemoteFill {
                 line: LineAddr(100),
                 grant: Mesi::Shared,
@@ -1570,9 +1636,10 @@ mod tests {
             },
             &mut l1s,
         );
-        bank.handle(upgrade(d(0), 100, REMOTE, 9), &mut l1s);
+        run(&mut bank, upgrade(d(0), 100, REMOTE, 9), &mut l1s);
         // Invalidation wins the race at home and reaches us first.
-        let a = bank.handle(
+        let a = run(
+            &mut bank,
             BankEvent::InvalAll {
                 line: LineAddr(100),
             },
@@ -1585,7 +1652,8 @@ mod tests {
         assert_eq!(l1s.get(d(0)).state(LineAddr(100)), Mesi::Invalid);
         assert!(bank.is_pending(LineAddr(100)), "upgrade still outstanding");
         // Home saw we were no longer a sharer and sent a full data reply.
-        let a = bank.handle(
+        let a = run(
+            &mut bank,
             BankEvent::RemoteFill {
                 line: LineAddr(100),
                 grant: Mesi::Exclusive,
@@ -1610,8 +1678,12 @@ mod tests {
     #[test]
     fn dir_exclusive_triggers_recall() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(read(d(0), 100, HOME), &mut l1s);
-        let a = bank.handle(mem_data(100, 0, RemoteSummary::Exclusive), &mut l1s);
+        run(&mut bank, read(d(0), 100, HOME), &mut l1s);
+        let a = run(
+            &mut bank,
+            mem_data(100, 0, RemoteSummary::Exclusive),
+            &mut l1s,
+        );
         assert_eq!(
             a,
             vec![BankAction::HomeRecall {
@@ -1621,7 +1693,8 @@ mod tests {
             }]
         );
         assert!(bank.is_pending(LineAddr(100)));
-        let a = bank.handle(
+        let a = run(
+            &mut bank,
             BankEvent::RemoteFill {
                 line: LineAddr(100),
                 grant: Mesi::Shared,
@@ -1650,8 +1723,8 @@ mod tests {
     #[test]
     fn eager_exclusive_with_remote_sharers() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(readex(d(0), 100, HOME, 7), &mut l1s);
-        let a = bank.handle(mem_data(100, 4, RemoteSummary::Shared), &mut l1s);
+        run(&mut bank, readex(d(0), 100, HOME, 7), &mut l1s);
+        let a = run(&mut bank, mem_data(100, 4, RemoteSummary::Shared), &mut l1s);
         assert!(a.contains(&BankAction::HomeInvalRemote {
             line: LineAddr(100)
         }));
@@ -1673,10 +1746,11 @@ mod tests {
     #[test]
     fn exclusive_export_purges_chip() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(readex(d(0), 100, HOME, 7), &mut l1s);
-        bank.handle(mem_data(100, 0, RemoteSummary::None), &mut l1s);
-        bank.handle(read(d(1), 100, HOME), &mut l1s); // two sharers, node dirty
-        let a = bank.handle(
+        run(&mut bank, readex(d(0), 100, HOME, 7), &mut l1s);
+        run(&mut bank, mem_data(100, 0, RemoteSummary::None), &mut l1s);
+        run(&mut bank, read(d(1), 100, HOME), &mut l1s); // two sharers, node dirty
+        let a = run(
+            &mut bank,
             BankEvent::Export {
                 line: LineAddr(100),
                 excl: true,
@@ -1709,9 +1783,10 @@ mod tests {
     #[test]
     fn shared_export_downgrades_owner() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(readex(d(0), 100, HOME, 7), &mut l1s);
-        bank.handle(mem_data(100, 0, RemoteSummary::None), &mut l1s);
-        let a = bank.handle(
+        run(&mut bank, readex(d(0), 100, HOME, 7), &mut l1s);
+        run(&mut bank, mem_data(100, 0, RemoteSummary::None), &mut l1s);
+        let a = run(
+            &mut bank,
             BankEvent::Export {
                 line: LineAddr(100),
                 excl: false,
@@ -1741,7 +1816,8 @@ mod tests {
     #[test]
     fn export_from_memory() {
         let (mut bank, mut l1s) = setup();
-        let a = bank.handle(
+        let a = run(
+            &mut bank,
             BankEvent::Export {
                 line: LineAddr(100),
                 excl: false,
@@ -1754,7 +1830,7 @@ mod tests {
                 line: LineAddr(100)
             }]
         );
-        let a = bank.handle(mem_data(100, 6, RemoteSummary::None), &mut l1s);
+        let a = run(&mut bank, mem_data(100, 6, RemoteSummary::None), &mut l1s);
         assert_eq!(
             a,
             vec![BankAction::ExportReply {
@@ -1771,8 +1847,9 @@ mod tests {
     #[test]
     fn remote_dirty_l2_eviction_writes_back_to_home() {
         let (mut bank, mut l1s) = setup();
-        bank.handle(readex(d(0), 100, REMOTE, 7), &mut l1s);
-        bank.handle(
+        run(&mut bank, readex(d(0), 100, REMOTE, 7), &mut l1s);
+        run(
+            &mut bank,
             BankEvent::RemoteFill {
                 line: LineAddr(100),
                 grant: Mesi::Exclusive,
@@ -1781,7 +1858,8 @@ mod tests {
             },
             &mut l1s,
         );
-        bank.handle(
+        run(
+            &mut bank,
             BankEvent::Victim {
                 slot: d(0),
                 line: LineAddr(100),
@@ -1808,7 +1886,7 @@ mod tests {
     fn wrong_bank_panics() {
         let mut bank = L2Bank::new(L2BankConfig::paper_default(), 0, 8);
         let mut l1s = L1Set::new(8, L1Config::paper_default());
-        bank.handle(read(d(0), 1, HOME), &mut l1s); // line 1 belongs to bank 1
+        run(&mut bank, read(d(0), 1, HOME), &mut l1s); // line 1 belongs to bank 1
     }
 
     /// The interleave function matches the paper: low line-address bits.

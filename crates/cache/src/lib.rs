@@ -35,7 +35,7 @@ pub mod tlb;
 
 pub use component::{CacheComplex, CacheEvent};
 pub use config::{L1Config, L2BankConfig};
-pub use dup::{DupEntry, DupTags, ExtState, Owner, Slot};
+pub use dup::{DupEntry, DupTags, ExtState, Holders, Owner, Slot};
 pub use l1::{L1Cache, L1Set, StoreOutcome, Victim};
 pub use l2::{BankAction, BankEvent, L2Bank, MissWaiter};
 pub use mesi::Mesi;

@@ -10,6 +10,8 @@
 
 use piranha_types::Addr;
 
+use crate::l1::set_of;
+
 /// TLB geometry and fill cost.
 #[derive(Debug, Clone, Copy)]
 pub struct TlbConfig {
@@ -56,7 +58,10 @@ impl Default for TlbConfig {
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: Vec<Vec<(u64, u64)>>, // (page, stamp)
+    /// Set-major `(page, stamp)` array: set `s` is
+    /// `ways[s * cfg.ways..][..cfg.ways]`; `None` marks an unfilled way.
+    ways: Vec<Option<(u64, u64)>>,
+    sets: u64,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -73,10 +78,10 @@ impl Tlb {
             cfg.ways > 0 && cfg.entries.is_multiple_of(cfg.ways),
             "TLB geometry must tile"
         );
-        let sets = cfg.entries / cfg.ways;
         Tlb {
             cfg,
-            sets: vec![Vec::new(); sets],
+            ways: vec![None; cfg.entries],
+            sets: (cfg.entries / cfg.ways) as u64,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -86,37 +91,37 @@ impl Tlb {
     /// Look up (and on miss, fill) the mapping for `addr`; returns
     /// whether it hit.
     pub fn access(&mut self, addr: Addr) -> bool {
-        let page = addr.0 / self.cfg.page_bytes;
-        let si = (page % self.sets.len() as u64) as usize;
+        let page = if self.cfg.page_bytes.is_power_of_two() {
+            addr.0 >> self.cfg.page_bytes.trailing_zeros()
+        } else {
+            addr.0 / self.cfg.page_bytes
+        };
+        let base = set_of(page, self.sets) * self.cfg.ways;
         self.tick += 1;
-        let set = &mut self.sets[si];
-        if let Some(e) = set.iter_mut().find(|(p, _)| *p == page) {
-            e.1 = self.tick;
+        let tick = self.tick;
+        let set = &mut self.ways[base..base + self.cfg.ways];
+        if let Some((_, stamp)) = set.iter_mut().flatten().find(|(p, _)| *p == page) {
+            *stamp = tick;
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if set.len() >= self.cfg.ways {
-            let (lru, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(i, e)| (i, *e))
-                .expect("set non-empty");
-            set.remove(lru);
-        }
-        set.push((page, self.tick));
+        // Fill an unused way, else replace the LRU one (stamps are
+        // unique, so the choice is too).
+        let w = match set.iter().position(Option::is_none) {
+            Some(w) => w,
+            None => (0..set.len())
+                .min_by_key(|&w| set[w].map(|(_, s)| s))
+                .expect("set has ways"),
+        };
+        set[w] = Some((page, tick));
         false
     }
 
     /// The currently-mapped page numbers, sorted — the TLB's occupancy
     /// irrespective of recency stamps, for warming-fidelity checks.
     pub fn resident_pages(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self
-            .sets
-            .iter()
-            .flat_map(|s| s.iter().map(|(p, _)| *p))
-            .collect();
+        let mut pages: Vec<u64> = self.ways.iter().flatten().map(|&(p, _)| p).collect();
         pages.sort_unstable();
         pages
     }
@@ -212,6 +217,48 @@ mod tests {
         t.access(Addr(16384)); // evicts page 1 (LRU)
         assert!(t.access(Addr(0)));
         assert!(!t.access(Addr(8192)));
+    }
+
+    #[test]
+    fn lru_per_set_and_resident_pages_sorted() {
+        // 8 entries, 2 ways: 4 sets; page p maps to set p % 4.
+        let mut t = Tlb::new(TlbConfig {
+            entries: 8,
+            ways: 2,
+            page_bytes: 8192,
+            miss_penalty: 20,
+        });
+        let page = |p: u64| Addr(p * 8192);
+        for p in [9, 4, 2, 5] {
+            assert!(!t.access(page(p)));
+        }
+        // Set 1 holds 9 and 5 (9 is LRU); sets 0 and 2 hold 4 and 2.
+        assert_eq!(t.resident_pages(), vec![2, 4, 5, 9]);
+        assert!(t.access(page(9))); // 5 becomes LRU in set 1
+        assert!(!t.access(page(13))); // evicts 5, not 9
+        assert_eq!(t.resident_pages(), vec![2, 4, 9, 13]);
+        assert!(t.access(page(9)));
+        assert!(!t.access(page(5)));
+        // The refill of 5 evicted 13 (LRU after 9's refresh).
+        assert_eq!(t.resident_pages(), vec![2, 4, 5, 9]);
+        assert!(t.access(page(2)), "set 2 untouched by set 1 churn");
+        assert_eq!(t.misses(), 6);
+    }
+
+    #[test]
+    fn direct_mapped_tlb_replaces_on_conflict() {
+        let mut t = Tlb::new(TlbConfig {
+            entries: 2,
+            ways: 1,
+            page_bytes: 4096,
+            miss_penalty: 1,
+        });
+        assert!(!t.access(Addr(0)));
+        assert!(!t.access(Addr(4096)));
+        assert!(!t.access(Addr(2 * 4096))); // evicts page 0
+        assert!(!t.access(Addr(0)));
+        assert!(t.access(Addr(4096 + 17)));
+        assert_eq!(t.resident_pages(), vec![0, 1]);
     }
 
     #[test]

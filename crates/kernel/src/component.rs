@@ -81,11 +81,12 @@ impl<A> Default for Port<A> {
 ///
 /// A minimal two-component ping/pong simulation: each player returns
 /// the ball 10 ps after receiving it, and the wiring (the loop at the
-/// bottom) connects each player's output port to the other player via a
-/// per-node [`Scheduler`](crate::Scheduler).
+/// bottom) connects each player's output port to the other player's
+/// [`Partition`](crate::Partition), merging the two event lists on
+/// `(time, player)` the way the system's lanes merge at a barrier.
 ///
 /// ```
-/// use piranha_kernel::{Component, Port, Scheduler};
+/// use piranha_kernel::{Component, Partition, Port};
 /// use piranha_types::SimTime;
 ///
 /// struct Ball;
@@ -105,18 +106,28 @@ impl<A> Default for Port<A> {
 /// }
 ///
 /// let mut players = [Player { hits: 0 }, Player { hits: 0 }];
-/// let mut sched: Scheduler<Ball> = Scheduler::new(players.len());
+/// let mut lanes: [Partition<Ball>; 2] = [Partition::new(), Partition::new()];
 /// let mut port = Port::new();
-/// sched.schedule(0, SimTime::ZERO, Ball); // serve to player 0
-/// while sched.now() < SimTime(100) {
-///     let Some((now, node, ball)) = sched.pop() else { break };
-///     players[node].handle(now, ball, (), &mut port);
+/// lanes[0].schedule(SimTime::ZERO, Ball); // serve to player 0
+/// loop {
+///     let next = (0..2)
+///         .filter_map(|p| lanes[p].peek_time().map(|t| (t, p)))
+///         .min();
+///     let Some((t, p)) = next else { break };
+///     if t > SimTime(100) {
+///         break;
+///     }
+///     let (now, ball) = lanes[p].pop().expect("peeked");
+///     players[p].handle(now, ball, (), &mut port);
 ///     for (at, ball) in port.drain() {
-///         sched.schedule(1 - node, at, ball); // wire each port to the peer
+///         lanes[1 - p].schedule(at, ball); // wire each port to the peer
 ///     }
 /// }
 /// assert_eq!(players[0].hits + players[1].hits, 11);
-/// assert_eq!(sched.scheduled(), sched.popped() + sched.len() as u64);
+/// let (scheduled, popped, pending) = lanes.iter().fold((0, 0, 0), |(s, o, n), l| {
+///     (s + l.scheduled(), o + l.popped(), n + l.len() as u64)
+/// });
+/// assert_eq!(scheduled, popped + pending);
 /// ```
 pub trait Component {
     /// The event type delivered to this component.

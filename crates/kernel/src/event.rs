@@ -1,26 +1,16 @@
 //! The future event list.
 //!
-//! Implemented as a bucketed two-level (calendar-style) queue: a timing
-//! wheel of `NBUCKETS` buckets, each `1 << BUCKET_BITS` picoseconds
-//! wide, plus an overflow heap for events beyond the wheel's horizon.
-//! Dense simulations (the common case: every CPU, bank, and protocol
-//! engine keeps scheduling a few tens of nanoseconds ahead) insert and
-//! pop in amortized O(1) instead of the O(log n) of the former
-//! `BinaryHeap`, while the drain order — strictly `(time, seq)` — is
-//! bit-identical to the heap's.
+//! One `BinaryHeap` of entries keyed by `(time, seq)`: the plain
+//! priority-queue idiom. It replaced a two-level calendar queue (a
+//! timing wheel plus an overflow heap) after the two were raced at the
+//! simulator's real event mix: the heap was cheaper per event, and both
+//! drain in the same total order, so the swap changed no simulated
+//! result.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use piranha_types::SimTime;
-
-/// log2 of the bucket width in picoseconds (65.536 ns per bucket).
-const BUCKET_BITS: u32 = 16;
-/// Number of wheel buckets (must be a power of two). The horizon is
-/// `NBUCKETS << BUCKET_BITS` ≈ 67 µs, far beyond any single component
-/// latency, so the overflow heap is essentially never touched in
-/// steady state.
-const NBUCKETS: usize = 1024;
 
 /// A deterministic future event list.
 ///
@@ -43,20 +33,10 @@ const NBUCKETS: usize = 1024;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The wheel. Invariant: every entry's day (`time >> BUCKET_BITS`)
-    /// lies in `[day(now), day(now) + NBUCKETS)`, and because two days
-    /// in that window never share a slot, each bucket holds entries of
-    /// exactly one day, sorted ascending by `(time, seq)`.
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// Entries in the wheel (the rest are in `overflow`).
-    wheel_len: usize,
-    /// Events at or past the horizon, ordered by `(time, seq)`.
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
-    scheduled: u64,
     popped: u64,
-    migrated: u64,
 }
 
 #[derive(Debug)]
@@ -83,54 +63,14 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The wheel day (bucket-granularity timestamp) of an instant.
-fn day(t: SimTime) -> u64 {
-    t.0 >> BUCKET_BITS
-}
-
 impl<E> EventQueue<E> {
     /// An empty queue positioned at time zero.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NBUCKETS).map(|_| VecDeque::new()).collect(),
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            scheduled: 0,
             popped: 0,
-            migrated: 0,
-        }
-    }
-
-    /// The day one past the last the wheel can currently hold.
-    fn horizon(&self) -> u64 {
-        day(self.now) + NBUCKETS as u64
-    }
-
-    /// Insert into the wheel bucket for `entry.time`, keeping the bucket
-    /// sorted by `(time, seq)`.
-    fn wheel_insert(&mut self, entry: Entry<E>) {
-        debug_assert!(day(entry.time) >= day(self.now) && day(entry.time) < self.horizon());
-        let bucket = &mut self.buckets[(day(entry.time) as usize) & (NBUCKETS - 1)];
-        let key = (entry.time, entry.seq);
-        let at = bucket.partition_point(|e| (e.time, e.seq) <= key);
-        bucket.insert(at, entry);
-        self.wheel_len += 1;
-    }
-
-    /// Move every overflow event that now fits the wheel into it.
-    /// Each event migrates at most once over its lifetime.
-    fn migrate_overflow(&mut self) {
-        let horizon = self.horizon();
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|Reverse(e)| day(e.time) < horizon)
-        {
-            let Reverse(e) = self.overflow.pop().expect("peeked entry present");
-            self.wheel_insert(e);
-            self.migrated += 1;
         }
     }
 
@@ -141,97 +81,34 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the time of the last event popped —
     /// the simulation may never schedule into the past.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.schedule_seq(time, seq, event);
-    }
-
-    /// Schedule `event` at `time` with an externally allocated sequence
-    /// number. This is the [`Scheduler`](crate::Scheduler) entry point:
-    /// sub-queues of a per-node scheduler share one global seq counter
-    /// so the merged drain order is identical to a single queue's.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`EventQueue::schedule`] on a past `time`. Callers
-    /// must keep `seq` unique; equal-time entries drain in `seq` order.
-    pub(crate) fn schedule_seq(&mut self, time: SimTime, seq: u64, event: E) {
         assert!(
             time >= self.now,
             "event scheduled at {time} is in the past (now = {})",
             self.now
         );
-        self.scheduled += 1;
-        let entry = Entry { time, seq, event };
-        if day(time) >= self.horizon() {
-            self.overflow.push(Reverse(entry));
-        } else {
-            self.wheel_insert(entry);
-        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     /// Remove and return the earliest event, advancing the queue's notion
     /// of "now" to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.wheel_len == 0 {
-            // The overflow min is the global min when the wheel is empty.
-            let Reverse(e) = self.overflow.pop()?;
-            self.now = e.time;
-            self.popped += 1;
-            self.migrate_overflow();
-            return Some((e.time, e.event));
-        }
-        // Events the horizon slid over since the last pop come first.
-        self.migrate_overflow();
-        // Every remaining event is ≥ now, so the scan starts at now's
-        // day; walking d forward never revisits a day (now is monotone),
-        // making the total scan cost over a run linear in elapsed days.
-        let mut d = day(self.now);
-        loop {
-            let bucket = &mut self.buckets[(d as usize) & (NBUCKETS - 1)];
-            if let Some(front) = bucket.front() {
-                debug_assert_eq!(day(front.time), d, "one bucket holds one day");
-                let e = bucket.pop_front().expect("front exists");
-                self.wheel_len -= 1;
-                self.now = e.time;
-                self.popped += 1;
-                return Some((e.time, e.event));
-            }
-            d += 1;
-            debug_assert!(
-                d < day(self.now) + NBUCKETS as u64 + 1,
-                "non-empty wheel must yield within the horizon"
-            );
-        }
+        let Reverse(e) = self.heap.pop()?;
+        self.now = e.time;
+        self.popped += 1;
+        Some((e.time, e.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// The `(time, seq)` key of the earliest pending event, if any —
-    /// the key [`pop`](EventQueue::pop) would deliver next. The merge
-    /// loop of [`Scheduler`](crate::Scheduler) compares these keys
-    /// across sub-queues.
+    /// the key [`pop`](EventQueue::pop) would deliver next.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        // Migration is lazy, so the overflow min can precede the wheel
-        // min; take the smaller of the two keys.
-        let over = self.overflow.peek().map(|Reverse(e)| (e.time, e.seq));
-        if self.wheel_len == 0 {
-            return over;
-        }
-        let mut d = day(self.now);
-        let wheel = loop {
-            if let Some(front) = self.buckets[(d as usize) & (NBUCKETS - 1)].front() {
-                break (front.time, front.seq);
-            }
-            d += 1;
-        };
-        Some(match over {
-            Some(o) if o < wheel => o,
-            _ => wheel,
-        })
+        self.heap.peek().map(|Reverse(e)| (e.time, e.seq))
     }
 
     /// The time of the most recently popped event.
@@ -241,31 +118,24 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
-    /// Total events scheduled over the queue's lifetime. At quiescence
+    /// Total events scheduled over the queue's lifetime. At every point
     /// `scheduled() == popped() + len() as u64` — the accounting
-    /// invariant the kernel tests assert, for standalone queues and for
-    /// every sub-queue of a [`Scheduler`](crate::Scheduler) alike.
+    /// invariant the kernel tests assert.
     pub fn scheduled(&self) -> u64 {
-        self.scheduled
+        self.seq
     }
 
     /// Total events popped over the queue's lifetime.
     pub fn popped(&self) -> u64 {
         self.popped
-    }
-
-    /// Events that migrated from the overflow heap into the wheel (a
-    /// health signal: near zero in steady state).
-    pub fn migrated(&self) -> u64 {
-        self.migrated
     }
 }
 
@@ -304,46 +174,16 @@ mod tests {
 
     #[test]
     fn ties_break_fifo_across_the_horizon() {
-        // Same instant, scheduled both before and after the time lands
-        // inside the wheel: seq order must still win.
-        let far = (NBUCKETS as u64 + 5) << BUCKET_BITS;
+        // Same far-future instant, scheduled before and after `now`
+        // moves toward it: schedule order still wins the tie.
+        let far = u64::MAX / 2;
         let mut q = EventQueue::new();
-        q.schedule(SimTime(far), 0); // goes to overflow
+        q.schedule(SimTime(far), 0);
         q.schedule(SimTime(1), 100);
         assert_eq!(q.pop(), Some((SimTime(1), 100)));
-        // `far` is now within the horizon of `now`; this insert goes to
-        // the wheel while event 0 migrates from overflow.
         q.schedule(SimTime(far), 1);
-        assert_eq!(
-            q.pop(),
-            Some((SimTime(far), 0)),
-            "overflow entry keeps FIFO priority"
-        );
+        assert_eq!(q.pop(), Some((SimTime(far), 0)));
         assert_eq!(q.pop(), Some((SimTime(far), 1)));
-    }
-
-    #[test]
-    fn overflow_entries_interleave_correctly_with_wheel() {
-        // An event far beyond the horizon must not be overtaken by a
-        // later-time wheel event once the horizon slides past it.
-        let mut q = EventQueue::new();
-        let far = (NBUCKETS as u64 + 100) << BUCKET_BITS; // beyond horizon
-        q.schedule(SimTime(far), "far");
-        // A dense stream of near events dragging `now` forward so `far`
-        // enters the horizon while the wheel is still busy.
-        let step = 1u64 << BUCKET_BITS;
-        for i in 1..=(NBUCKETS as u64 + 150) {
-            q.schedule(SimTime(i * step), "near");
-        }
-        let mut popped = Vec::new();
-        while let Some((t, e)) = q.pop() {
-            popped.push((t.0, e));
-        }
-        let all_sorted = popped.windows(2).all(|w| w[0].0 <= w[1].0);
-        assert!(all_sorted, "drain order must be globally time-sorted");
-        let far_pos = popped.iter().position(|&(t, _)| t == far).unwrap();
-        assert_eq!(popped[far_pos].1, "far");
-        assert!(popped[..far_pos].iter().all(|&(t, _)| t < far));
     }
 
     #[test]
@@ -382,20 +222,16 @@ mod tests {
     #[test]
     fn lifetime_counters_track_traffic() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        let far = (NBUCKETS as u64 + 5) << BUCKET_BITS;
-        q.schedule(SimTime(far), 0); // lands in overflow
+        q.schedule(SimTime(u64::MAX / 2), 0);
         q.schedule(SimTime(1), 1);
         assert_eq!(q.scheduled(), 2);
         assert_eq!(q.popped(), 0);
-        q.pop(); // t = 1
-                 // Drag `now` forward until `far` fits the horizon, with the
-                 // wheel kept non-empty so the pop path performs the migration.
-        q.schedule(SimTime(6 << BUCKET_BITS), 2);
         q.pop();
-        q.schedule(SimTime(7 << BUCKET_BITS), 3);
+        q.schedule(SimTime(6), 2);
         q.pop();
-        assert_eq!(q.migrated(), 1, "overflow entry migrated into the wheel");
-        assert_eq!(q.pop(), Some((SimTime(far), 0)));
+        q.schedule(SimTime(7), 3);
+        q.pop();
+        assert_eq!(q.pop(), Some((SimTime(u64::MAX / 2), 0)));
         assert_eq!(q.popped(), 4);
         assert_eq!(q.scheduled(), 4);
     }
@@ -415,44 +251,7 @@ mod tests {
         assert_eq!(q.popped(), 50);
     }
 
-    #[test]
-    fn len_counts_overflow() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule(SimTime(1), 0);
-        q.schedule(SimTime(u64::MAX / 2), 1);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime(1)));
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    /// The old `BinaryHeap<Reverse<Entry>>` future event list, kept as a
-    /// drain-order oracle for the calendar queue.
-    struct HeapOracle {
-        heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-        seq: u64,
-    }
-
-    impl HeapOracle {
-        fn new() -> Self {
-            HeapOracle {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            }
-        }
-        fn schedule(&mut self, t: SimTime, e: u32) {
-            self.heap.push(Reverse((t, self.seq, e)));
-            self.seq += 1;
-        }
-        fn pop(&mut self) -> Option<(SimTime, u32)> {
-            self.heap.pop().map(|Reverse((t, _, e))| (t, e))
-        }
-    }
-
-    /// A tiny deterministic PRNG (splitmix64) for the randomized oracle
-    /// comparison.
+    /// A tiny deterministic PRNG (splitmix64) for the randomized test.
     struct Rng(u64);
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -464,44 +263,47 @@ mod tests {
         }
     }
 
+    /// The drain order, checked against the simplest oracle there is:
+    /// the pending events in a `Vec` in schedule order, and each pop
+    /// takes the first entry with the smallest time. That is a stable
+    /// sort by time, i.e. FIFO among ties, with no sequence numbers.
     #[test]
-    fn randomized_drain_order_matches_heap_oracle() {
+    fn randomized_drain_order_matches_stable_sort_oracle() {
         for seed in 0..8u64 {
             let mut rng = Rng(seed);
             let mut q = EventQueue::new();
-            let mut oracle = HeapOracle::new();
+            let mut oracle: Vec<(SimTime, u32)> = Vec::new();
             let mut now = 0u64;
-            for i in 0..5_000u32 {
-                // Mixed workload: mostly near-future schedules with
-                // occasional far (past-horizon) ones and interleaved
-                // pops, mimicking a real simulation's pattern.
-                let roll = rng.next() % 100;
-                if roll < 60 || q.is_empty() {
+            let pop_both = |q: &mut EventQueue<u32>, oracle: &mut Vec<(SimTime, u32)>| {
+                let want = oracle
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (t, _))| *t)
+                    .map(|(i, _)| i)
+                    .map(|i| oracle.remove(i));
+                let got = q.pop();
+                assert_eq!(got, want, "divergence from the oracle (seed {seed})");
+                assert_eq!(q.len(), oracle.len());
+                got
+            };
+            for i in 0..3_000u32 {
+                // Mostly near-future schedules, with ties at `now` and
+                // occasional far ones, interleaved with pops.
+                if rng.next() % 100 < 60 || q.is_empty() {
                     let delta = match rng.next() % 10 {
-                        0 => (rng.next() % 4) << (BUCKET_BITS + 12), // far
-                        1..=3 => 0,                                  // tie
-                        _ => rng.next() % (1 << (BUCKET_BITS + 2)),  // near
+                        0 => (rng.next() % 4) << 28,
+                        1..=3 => 0,
+                        _ => rng.next() % (1 << 18),
                     };
                     let t = SimTime(now + delta);
                     q.schedule(t, i);
-                    oracle.schedule(t, i);
-                } else {
-                    let got = q.pop();
-                    let want = oracle.pop();
-                    assert_eq!(got, want, "divergence from heap oracle (seed {seed})");
-                    if let Some((t, _)) = got {
-                        now = t.0;
-                    }
+                    oracle.push((t, i));
+                } else if let Some((t, _)) = pop_both(&mut q, &mut oracle) {
+                    now = t.0;
                 }
             }
-            loop {
-                let got = q.pop();
-                let want = oracle.pop();
-                assert_eq!(got, want, "tail drain divergence (seed {seed})");
-                if got.is_none() {
-                    break;
-                }
-            }
+            while pop_both(&mut q, &mut oracle).is_some() {}
+            assert_eq!(q.scheduled(), q.popped());
         }
     }
 }

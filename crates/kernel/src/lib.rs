@@ -3,9 +3,6 @@
 //! Provides the machinery every timing model in the workspace builds on:
 //!
 //! * [`EventQueue`] — a deterministic, stable-ordered future event list;
-//! * [`Scheduler`] — per-node sub-queues over [`EventQueue`] with a
-//!   deterministic global merge, the seam between the system wiring and
-//!   the component adapters;
 //! * [`Partition`] / [`Lookahead`] — partition-local event lists and
 //!   the conservative per-pair lookahead bounds for parallel-in-space
 //!   execution (one lane per worker thread, merged at window barriers);
@@ -39,7 +36,6 @@ pub mod component;
 pub mod event;
 pub mod partition;
 pub mod rng;
-pub mod sched;
 pub mod server;
 pub mod stats;
 
@@ -47,6 +43,5 @@ pub use component::{Component, Port};
 pub use event::EventQueue;
 pub use partition::{Lookahead, Partition};
 pub use rng::Prng;
-pub use sched::Scheduler;
 pub use server::{MultiServer, Pipe, Server};
 pub use stats::{Counter, Histogram, Ratio};

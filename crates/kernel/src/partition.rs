@@ -1,11 +1,9 @@
 //! Per-partition future event lists for parallel-in-space execution.
 //!
-//! A [`Partition`] is one lane's private event queue: unlike
-//! [`Scheduler`](crate::Scheduler), whose sub-queues share one global
-//! sequence counter so the merged drain is bit-identical to a single
-//! queue, partitions allocate sequence numbers **locally**. That is what
-//! lets a lane run on its own worker thread without synchronizing on a
-//! shared allocator — and it forces an explicit, deterministic merge
+//! A [`Partition`] is one lane's private event queue. Partitions
+//! allocate sequence numbers **locally**: that is what lets a lane run
+//! on its own worker thread without synchronizing on a shared
+//! allocator — and it forces an explicit, deterministic merge
 //! rule at quantum barriers: cross-partition events are delivered in
 //! ascending `(time, source partition, intra-quantum seq)` order (see
 //! `piranha-parsim`), a total key that no thread interleaving can
@@ -118,12 +116,6 @@ impl<E> Partition<E> {
     /// Lifetime popped-event count.
     pub fn popped(&self) -> u64 {
         self.queue.popped()
-    }
-
-    /// Overflow-to-wheel migrations (health signal; near zero in steady
-    /// state).
-    pub fn migrated(&self) -> u64 {
-        self.queue.migrated()
     }
 }
 
@@ -262,7 +254,6 @@ mod tests {
     use std::collections::BinaryHeap;
 
     use super::*;
-    use crate::Scheduler;
 
     #[test]
     fn partition_seqs_are_local() {
@@ -352,20 +343,19 @@ mod tests {
         Some((t, best.1, e))
     }
 
-    /// The head-cache oracle, interleaved with the partition API: the
-    /// same randomized op stream drives (a) a `Scheduler`, whose
-    /// `Head::Unknown` invalidation must reproduce a single binary
-    /// heap's global-seq order, and (b) a set of `Partition`s, whose
-    /// per-partition seq spaces must reproduce a binary heap ordered by
-    /// the barrier merge key `(time, partition, local seq)`. Schedules
-    /// right at `now` and repeated pops on one node force head-cache
-    /// recomputation through every `Head` state.
+    /// The two merge rules, checked against binary heaps over the same
+    /// randomized op stream: (a) one [`EventQueue`] over every node's
+    /// events, whose single seq counter must reproduce a heap ordered by
+    /// `(time, global seq)`, and (b) a set of `Partition`s, whose
+    /// per-partition seq spaces must reproduce a heap ordered by the
+    /// barrier merge key `(time, partition, local seq)`. Schedules right
+    /// at `now` exercise the FIFO tie-breaks.
     #[test]
-    fn scheduler_and_partitions_match_binary_heap_oracles() {
+    fn global_queue_and_partitions_match_binary_heap_oracles() {
         for seed in 0..12u64 {
             let mut rng = Rng(seed);
             let nodes = 2 + (seed as usize % 4);
-            let mut sched: Scheduler<u32> = Scheduler::new(nodes);
+            let mut global: EventQueue<(usize, u32)> = EventQueue::new();
             let mut parts: Vec<Partition<u32>> = (0..nodes).map(|_| Partition::new()).collect();
             let mut part_seq = vec![0u64; nodes];
             // Oracles: plain binary heaps over the two merge keys.
@@ -373,45 +363,34 @@ mod tests {
                 BinaryHeap::new();
             let mut heap_part: BinaryHeap<Reverse<(SimTime, usize, u64, u32)>> = BinaryHeap::new();
             let mut gseq = 0u64;
-            let mut now = 0u64;
-            let mut part_now = vec![0u64; nodes];
             for i in 0..4_000u32 {
-                let roll = rng.next() % 100;
-                if roll < 55 || sched.is_empty() {
+                if rng.next() % 100 < 55 || global.is_empty() {
                     let node = (rng.next() as usize) % nodes;
                     let delta = match rng.next() % 8 {
-                        0 => (rng.next() % 3) << 28, // far (past the wheel horizon)
+                        0 => (rng.next() % 3) << 28, // far
                         1..=3 => 0,                  // tie at now
                         _ => rng.next() % (1 << 16), // near
                     };
-                    let t = SimTime(now.max(part_now[node]) + delta);
-                    sched.schedule(node, t, i);
+                    let t = global.now().max(parts[node].now()) + Duration(delta);
+                    global.schedule(t, (node, i));
                     heap_global.push(Reverse((t, gseq, node, i)));
                     gseq += 1;
                     parts[node].schedule(t, i);
                     heap_part.push(Reverse((t, node, part_seq[node], i)));
                     part_seq[node] += 1;
                 } else {
-                    // Scheduler vs global-seq heap (head cache under test).
-                    let got = sched.pop();
+                    let got = global.pop().map(|(t, (n, e))| (t, n, e));
                     let want = heap_global.pop().map(|Reverse((t, _, n, e))| (t, n, e));
-                    assert_eq!(got, want, "scheduler diverged from heap (seed {seed})");
-                    if let Some((t, _, _)) = got {
-                        now = t.0;
-                    }
-                    // Partitions vs barrier-merge-key heap.
+                    assert_eq!(got, want, "global queue diverged from heap (seed {seed})");
                     let got = pop_partitioned(&mut parts);
                     let want = heap_part.pop().map(|Reverse((t, n, _, e))| (t, n, e));
                     assert_eq!(got, want, "partitions diverged from heap (seed {seed})");
-                    if let Some((t, n, _)) = got {
-                        part_now[n] = t.0;
-                    }
                 }
             }
             loop {
-                let got = sched.pop();
+                let got = global.pop().map(|(t, (n, e))| (t, n, e));
                 let want = heap_global.pop().map(|Reverse((t, _, n, e))| (t, n, e));
-                assert_eq!(got, want, "scheduler tail divergence (seed {seed})");
+                assert_eq!(got, want, "global queue tail divergence (seed {seed})");
                 let gotp = pop_partitioned(&mut parts);
                 let wantp = heap_part.pop().map(|Reverse((t, n, _, e))| (t, n, e));
                 assert_eq!(gotp, wantp, "partition tail divergence (seed {seed})");

@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 
 use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
-use piranha_cpu::{CpuAction, CpuCtx, CpuEvent};
+use piranha_cpu::{CpuAction, CpuCtx, CpuEvent, MemReq};
 use piranha_faults::{FaultKind, FaultPlane};
 use piranha_ics::TransferSize;
 use piranha_kernel::{Component, Port};
@@ -132,11 +132,9 @@ impl NodeLane {
                     sh.cfg.lat.bank.as_ps(),
                     0,
                 );
-                let mut port = std::mem::take(&mut self.bank_port);
-                self.node.caches.handle(t, ce, (), &mut port);
-                let items: Vec<Item> = port.drain().map(|(_, a)| Item::Bank(a)).collect();
-                self.bank_port = port;
-                self.apply(sh, t, items);
+                let mut q = std::mem::take(&mut self.work);
+                self.bank(t, ce, &mut q);
+                self.apply(sh, t, q);
             }
             Ev::MemRead(me) => {
                 self.probe.instant(
@@ -152,9 +150,9 @@ impl NodeLane {
                 // goes straight back to the requesting bank.
                 let mut mport = std::mem::take(&mut self.mem_port);
                 self.node.mem.handle(t, me, (), &mut mport);
-                let mut bport = std::mem::take(&mut self.bank_port);
+                let mut q = std::mem::take(&mut self.work);
                 for (_, d) in mport.drain() {
-                    self.node.caches.handle(
+                    self.bank(
                         t,
                         CacheEvent {
                             bank: d.bank,
@@ -164,14 +162,11 @@ impl NodeLane {
                                 remote: d.remote,
                             },
                         },
-                        (),
-                        &mut bport,
+                        &mut q,
                     );
                 }
                 self.mem_port = mport;
-                let items: Vec<Item> = bport.drain().map(|(_, a)| Item::Bank(a)).collect();
-                self.bank_port = bport;
-                self.apply(sh, t, items);
+                self.apply(sh, t, q);
             }
             Ev::NetMsg { from, msg } => {
                 let line = msg.line();
@@ -216,24 +211,15 @@ impl NodeLane {
                     occ.as_ps(),
                     line.0,
                 );
-                let mut port = std::mem::take(&mut self.eng_port);
-                {
-                    let nd = &mut self.node;
-                    nd.engines.acquire(is_home, t, occ);
-                    let Node { engines, mem, .. } = nd;
-                    let mut dirs = NodeDirs {
-                        banks: mem.banks_mut(),
-                    };
-                    let ev = if is_home {
-                        EngineEvent::Home(HomeIn::Msg { from, msg })
-                    } else {
-                        EngineEvent::Remote(RemoteIn::Msg { from, msg })
-                    };
-                    engines.handle(t, ev, &mut dirs, &mut port);
-                }
-                let items: Vec<Item> = port.drain().map(|(_, a)| Item::Eng(a)).collect();
-                self.eng_port = port;
-                self.apply(sh, t, items);
+                self.node.engines.acquire(is_home, t, occ);
+                let ev = if is_home {
+                    EngineEvent::Home(HomeIn::Msg { from, msg })
+                } else {
+                    EngineEvent::Remote(RemoteIn::Msg { from, msg })
+                };
+                let mut q = std::mem::take(&mut self.work);
+                self.engine(t, ev, &mut q);
+                self.apply(sh, t, q);
             }
         }
     }
@@ -314,38 +300,7 @@ impl NodeLane {
         }
         for (_, act) in port.drain() {
             match act {
-                CpuAction::Issue { cpu, at_cycle, req } => {
-                    let issue = sh.cycle_to_time(at_cycle).max(t);
-                    // Request message over the ICS (header) + path latency.
-                    let tics = self
-                        .node
-                        .ics
-                        .transfer(issue, TransferSize::Header, Lane::Low);
-                    let arrive = (issue + sh.cfg.lat.req).max(tics);
-                    let bank = self.bank_of(req.line);
-                    let exec = self.node.caches.acquire(bank, arrive, sh.cfg.lat.bank);
-                    let slot = Slot::new(CpuId(cpu as u8), req.kind);
-                    let prev = self.outstanding.insert((slot, req.line), req.id);
-                    assert!(
-                        prev.is_none(),
-                        "duplicate outstanding request for {slot} {}",
-                        req.line
-                    );
-                    let home_local = sh.home_of(req.line) == self.index;
-                    self.events.schedule(
-                        exec.max(t),
-                        Ev::Bank(CacheEvent {
-                            bank,
-                            ev: BankEvent::Miss {
-                                slot,
-                                req: req.req,
-                                line: req.line,
-                                home_local,
-                                store_version: req.store_version,
-                            },
-                        }),
-                    );
-                }
+                CpuAction::Issue { cpu, at_cycle, req } => self.issue(sh, t, cpu, at_cycle, req),
                 CpuAction::Wake { cpu, at_cycle } => {
                     let next = sh.cycle_to_time(at_cycle).max(t);
                     // Open-loop traffic: a parked stream's wake is an
@@ -393,6 +348,53 @@ impl NodeLane {
         self.cpu_port = port;
     }
 
+    /// Send CPU `cpu`'s miss `req`, issued at `at_cycle`, to its L2
+    /// bank: a header over the ICS, then the bank's occupancy server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the same L1 already has a request outstanding for the
+    /// line (the L1s are blocking per line).
+    pub(crate) fn issue(
+        &mut self,
+        sh: &LaneShared<'_>,
+        t: SimTime,
+        cpu: usize,
+        at_cycle: u64,
+        req: MemReq,
+    ) {
+        let issue = sh.cycle_to_time(at_cycle).max(t);
+        // Request message over the ICS (header) + path latency.
+        let tics = self
+            .node
+            .ics
+            .transfer(issue, TransferSize::Header, Lane::Low);
+        let arrive = (issue + sh.cfg.lat.req).max(tics);
+        let bank = self.bank_of(req.line);
+        let exec = self.node.caches.acquire(bank, arrive, sh.cfg.lat.bank);
+        let slot = Slot::new(CpuId(cpu as u8), req.kind);
+        let prev = self.outstanding.insert(slot, req.line, req.id);
+        assert!(
+            prev.is_none(),
+            "duplicate outstanding request for {slot} {}",
+            req.line
+        );
+        let home_local = sh.home_of(req.line) == self.index;
+        self.events.schedule(
+            exec.max(t),
+            Ev::Bank(CacheEvent {
+                bank,
+                ev: BankEvent::Miss {
+                    slot,
+                    req: req.req,
+                    line: req.line,
+                    home_local,
+                    store_version: req.store_version,
+                },
+            }),
+        );
+    }
+
     /// Run `ev` through the node's engine complex (threading the
     /// directory view in) and queue the resulting actions.
     fn engine(&mut self, t: SimTime, ev: EngineEvent, q: &mut VecDeque<Item>) {
@@ -417,12 +419,12 @@ impl NodeLane {
         self.bank_port = port;
     }
 
-    /// Apply a work-list of bank/engine actions at time `t`.
-    /// The work queue's allocation is reused across dispatches.
-    pub(crate) fn apply(&mut self, sh: &LaneShared<'_>, t: SimTime, items: Vec<Item>) {
-        let mut q = std::mem::take(&mut self.work);
-        debug_assert!(q.is_empty());
-        q.extend(items);
+    /// Apply the work-list `q` of bank/engine actions at time `t`,
+    /// appending follow-on work as it goes, then hand `q` back as the
+    /// lane's reusable work queue. Callers take that queue, fill it
+    /// from one handler's port and pass it here, so a dispatch
+    /// allocates nothing once the queue has grown to its working size.
+    pub(crate) fn apply(&mut self, sh: &LaneShared<'_>, t: SimTime, mut q: VecDeque<Item>) {
         while let Some(item) = q.pop_front() {
             match item {
                 Item::Bank(a) => self.apply_bank_action(sh, t, a, &mut q),
@@ -450,7 +452,7 @@ impl NodeLane {
             } => {
                 let id = self
                     .outstanding
-                    .remove(&(slot, line))
+                    .remove(slot, line)
                     .unwrap_or_else(|| panic!("grant without outstanding request: {slot} {line}"));
                 // Data fills occupy an ICS datapath; upgrades are
                 // header-only.

@@ -493,7 +493,8 @@ impl Machine {
                 let Some((t, ev)) = lane.events.pop() else {
                     assert!(
                         lane.unfinished == 0,
-                        "event queue drained with unfinished CPUs: deadlock"
+                        "event queue drained with unfinished CPUs: deadlock; {}",
+                        lane.stuck()
                     );
                     break 'outer;
                 };
@@ -617,7 +618,15 @@ impl Machine {
                     return None;
                 }
                 let Some(base) = t_min else {
-                    panic!("event queues drained with unfinished CPUs: deadlock");
+                    let stuck: Vec<String> = lanes
+                        .iter()
+                        .filter(|l| l.unfinished > 0)
+                        .map(NodeLane::stuck)
+                        .collect();
+                    panic!(
+                        "event queues drained with unfinished CPUs: deadlock; {}",
+                        stuck.join("; ")
+                    );
                 };
                 Some(lookahead.horizon(base))
             },

@@ -384,3 +384,96 @@ fn sampled_run_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// A small single-chip machine and the shared lane facts to drive its
+/// lane by hand.
+fn p1_machine() -> Machine {
+    Machine::new(
+        SystemConfig::piranha_p1(),
+        &Workload::Synth(SynthConfig::light()),
+    )
+}
+
+fn miss(id: u64, line: u64) -> piranha_cpu::MemReq {
+    piranha_cpu::MemReq {
+        id,
+        kind: piranha_types::CacheKind::Data,
+        req: piranha_types::ReqType::Read,
+        line: piranha_types::LineAddr(line),
+        store_version: None,
+    }
+}
+
+#[test]
+fn outstanding_table_keys_on_slot_and_line() {
+    use piranha_cache::Slot;
+    use piranha_types::LineAddr;
+    let mut t = crate::node::Outstanding::new(4);
+    let (a, b) = (LineAddr(7), LineAddr(9));
+    assert_eq!(t.insert(Slot(1), a, 10), None);
+    assert_eq!(t.insert(Slot(3), a, 11), None, "same line, other slot");
+    assert_eq!(t.insert(Slot(1), b, 12), None, "same slot, other line");
+    assert_eq!(t.insert(Slot(1), a, 13), Some(10), "duplicate reported");
+    assert_eq!(t.remove(Slot(1), a), Some(10), "duplicate not stored");
+    assert_eq!(t.remove(Slot(1), a), None);
+    assert_eq!(t.remove(Slot(1), b), Some(12));
+    assert_eq!(t.remove(Slot(3), a), Some(11));
+    assert_eq!(t.remove(Slot(0), a), None);
+}
+
+#[test]
+#[should_panic(expected = "duplicate outstanding request for cpu0/dL1")]
+fn issuing_the_same_miss_twice_panics() {
+    let mut m = p1_machine();
+    let sh = crate::dispatch::LaneShared::new(&m.cfg, 1);
+    let lane = &mut m.lanes[0];
+    lane.issue(&sh, piranha_types::SimTime::ZERO, 0, 0, miss(1, 0x40));
+    lane.issue(&sh, piranha_types::SimTime::ZERO, 0, 0, miss(2, 0x40));
+}
+
+#[test]
+#[should_panic(expected = "grant without outstanding request: cpu0/dL1")]
+fn a_grant_nobody_asked_for_panics() {
+    let mut m = p1_machine();
+    let sh = crate::dispatch::LaneShared::new(&m.cfg, 1);
+    let lane = &mut m.lanes[0];
+    // The table answers a real request, then refuses a second grant.
+    lane.issue(&sh, piranha_types::SimTime::ZERO, 0, 0, miss(1, 0x40));
+    let grant = || {
+        crate::dispatch::Item::Bank(piranha_cache::BankAction::Grant {
+            slot: piranha_cache::Slot(1),
+            line: piranha_types::LineAddr(0x40),
+            state: piranha_cache::Mesi::Shared,
+            version: 0,
+            source: piranha_types::FillSource::L2Hit,
+            upgraded: false,
+        })
+    };
+    let t = piranha_types::SimTime::ZERO;
+    lane.apply(&sh, t, std::collections::VecDeque::from([grant()]));
+    lane.apply(&sh, t, std::collections::VecDeque::from([grant()]));
+}
+
+#[test]
+#[should_panic(expected = "deadlock; lane 0 has 1 unfinished CPUs at 0ns after")]
+fn serial_deadlock_panic_names_the_lane() {
+    let mut m = p1_machine();
+    // Lose every pending event: the CPU can never be woken again.
+    while m.lanes[0].events.pop().is_some() {}
+    m.run_until_total(u64::MAX);
+}
+
+#[test]
+#[should_panic(
+    expected = "deadlock; lane 0 has 2 unfinished CPUs at 0ns after 2 events popped; lane 1 has 2 unfinished CPUs"
+)]
+fn multichip_deadlock_panic_names_every_stuck_lane() {
+    let mut m = Machine::new(
+        SystemConfig::piranha_pn(2).scaled_to_chips(2),
+        &Workload::Synth(SynthConfig::light()),
+    );
+    for lane in &mut m.lanes {
+        while lane.events.pop().is_some() {}
+    }
+    m.run_until_total(u64::MAX);
+}

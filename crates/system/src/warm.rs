@@ -88,7 +88,7 @@ fn warm_fill(
 ) {
     let id = lane
         .outstanding
-        .remove(&(slot, line))
+        .remove(slot, line)
         .unwrap_or_else(|| panic!("warm grant without outstanding request: {slot} {line}"));
     let cpu = slot.cpu().index();
     let mut port = std::mem::take(&mut lane.cpu_port);
@@ -436,7 +436,7 @@ fn warm_step(
         let ti = sh.cycle_to_time(at_cycle).max(t);
         let lane = &mut lanes[li];
         let slot = Slot::new(CpuId(cpu as u8), req.kind);
-        let prev = lane.outstanding.insert((slot, req.line), req.id);
+        let prev = lane.outstanding.insert(slot, req.line, req.id);
         assert!(
             prev.is_none(),
             "duplicate outstanding warm request for {slot} {}",

@@ -257,16 +257,11 @@ impl Machine {
             return;
         }
         let p = &self.probe;
-        let (scheduled, popped, migrated) = self.lanes.iter().fold((0, 0, 0), |(s, o, m), l| {
-            (
-                s + l.events.scheduled(),
-                o + l.events.popped(),
-                m + l.events.migrated(),
-            )
+        let (scheduled, popped) = self.lanes.iter().fold((0, 0), |(s, o), l| {
+            (s + l.events.scheduled(), o + l.events.popped())
         });
         p.publish_counter("kernel.events.scheduled", scheduled);
         p.publish_counter("kernel.events.popped", popped);
-        p.publish_counter("kernel.events.migrated", migrated);
         p.publish_counter("machine.instrs", self.total_instrs());
         p.publish_gauge("mem.page_hit_rate", self.mem_page_hit_rate());
         p.publish_counter("net.delivered", self.net.delivered());

@@ -12,7 +12,8 @@
 //! function, so its internal bucket order is stable across runs —
 //! unlike `RandomState`, which reseeds per process. No simulation
 //! code may iterate a map in bucket order anyway (event ordering must
-//! come from the calendar queue), but fixed seeding removes even the
+//! come from the future event list's `(time, seq)` keys), but fixed
+//! seeding removes even the
 //! possibility of run-to-run divergence from map internals.
 
 use std::collections::{HashMap, HashSet};

@@ -197,3 +197,33 @@ fn bless() {
     std::fs::write(dir.join("golden_fig5_quick.tsv"), &fig5).unwrap();
     println!("blessed {} golden fingerprints", all.lines().count());
 }
+
+/// The future event list's work, pinned: P8 OLTP at tiny scale
+/// schedules and pops exactly these many events. Fingerprints cover the
+/// drain *order*; these counts make an event-list change that drops or
+/// duplicates an event fail by name.
+#[test]
+fn p8_oltp_tiny_event_counts_are_pinned() {
+    use piranha::{Machine, Probe, ProbeConfig, SystemConfig};
+    let scale = RunScale::tiny();
+    let mut m = Machine::new(SystemConfig::piranha_p8(), &piranha::experiments::oltp());
+    let probe = Probe::new(ProbeConfig::default());
+    m.set_probe(probe.clone());
+    m.run(scale.warmup, scale.measure);
+    m.sample_metrics();
+    let snap = probe.metrics().expect("metrics-level probe");
+    let counter = |name: &str| {
+        snap.entries
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_f64() as u64)
+            .unwrap_or_else(|| panic!("{name} not published"))
+    };
+    let (scheduled, popped) = (
+        counter("kernel.events.scheduled"),
+        counter("kernel.events.popped"),
+    );
+    assert_eq!(popped, m.parsim_stats().events);
+    assert_eq!((scheduled, popped), (52_041, 52_032));
+    assert_eq!(m.total_instrs(), 96_226);
+}

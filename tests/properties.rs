@@ -190,6 +190,7 @@ proptest! {
         let mut bank = L2Bank::new(L2BankConfig { size_bytes: 16 * 64, ways: 2 }, 0, 1);
         let mut l1s = L1Set::new(8, L1Config { size_bytes: 4 * 64, ways: 2 });
         let mut version = 100u64;
+        let mut acts = Vec::new();
 
         for (op, cpu, line_raw, flag) in ops {
             let line = LineAddr(line_raw);
@@ -210,6 +211,7 @@ proptest! {
                     bank.handle(
                         BankEvent::Miss { slot, req, line, home_local: true, store_version: sv },
                         &mut l1s,
+                        &mut acts,
                     );
                 }
                 1 => {
@@ -218,21 +220,23 @@ proptest! {
                         bank.handle(
                             BankEvent::MemData { line, version: 1, remote: RemoteSummary::None },
                             &mut l1s,
+                            &mut acts,
                         );
                     }
                 }
                 2 => {
                     // An inter-node invalidation at any time.
-                    bank.handle(BankEvent::InvalAll { line }, &mut l1s);
+                    bank.handle(BankEvent::InvalAll { line }, &mut l1s, &mut acts);
                 }
                 _ => {
                     // A home-engine export (shared or exclusive).
                     if !bank.is_pending(line) {
-                        bank.handle(BankEvent::Export { line, excl: flag }, &mut l1s);
+                        bank.handle(BankEvent::Export { line, excl: flag }, &mut l1s, &mut acts);
                         if bank.is_pending(line) {
                             bank.handle(
                                 BankEvent::MemData { line, version: 1, remote: RemoteSummary::None },
                                 &mut l1s,
+                                &mut acts,
                             );
                         }
                     }
