@@ -170,6 +170,7 @@ impl InOrderCore {
         reqs: &mut Vec<(u64, MemReq)>,
     ) -> CoreStatus {
         let mut left = budget;
+        let may_park = stream.may_park();
         loop {
             if self.blocked != Blocked::No {
                 return CoreStatus::Blocked;
@@ -181,7 +182,7 @@ impl InOrderCore {
             // Open-loop gating: a parked stream yields between
             // transactions instead of fetching. The commit stamp lands
             // here, after every op of the transaction has executed.
-            if self.pending_op.is_none() && !self.stream_done && stream.parked() {
+            if may_park && self.pending_op.is_none() && !self.stream_done && stream.parked() {
                 stream.mark_quiescent(self.cycle);
                 return CoreStatus::Runnable;
             }

@@ -211,6 +211,7 @@ impl CoreModel for OooCore {
         reqs: &mut Vec<(u64, MemReq)>,
     ) -> CoreStatus {
         let mut left = budget;
+        let may_park = stream.may_park();
         loop {
             self.drain_retires();
             match self.stalled {
@@ -244,7 +245,7 @@ impl CoreModel for OooCore {
             // transactions. Stamp the commit only once every window
             // entry has completed, so in-flight misses of the ending
             // transaction count toward its latency.
-            if self.pending_op.is_none() && !self.stream_done && stream.parked() {
+            if may_park && self.pending_op.is_none() && !self.stream_done && stream.parked() {
                 if self.window.iter().all(|s| s.done_q.is_some()) {
                     self.drain_retires();
                     stream.mark_quiescent(self.now_cycle());

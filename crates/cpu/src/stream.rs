@@ -90,9 +90,18 @@ pub trait InstrStream: Send {
         self.txns_committed()
     }
 
+    /// Whether this stream can ever report [`InstrStream::parked`].
+    /// Cores read it once per step and consult `parked` per op only
+    /// when it is `true`; only the open-loop wrapper overrides it.
+    fn may_park(&self) -> bool {
+        false
+    }
+
     /// Open-loop gating (`piranha-traffic`): whether the stream is
     /// parked at a transaction boundary awaiting admission. Closed-loop
-    /// streams never park, so cores skip all gating work.
+    /// streams never park, so cores skip all gating work. A stream that
+    /// overrides this must also return `true` from
+    /// [`InstrStream::may_park`].
     fn parked(&self) -> bool {
         false
     }

@@ -15,7 +15,8 @@
 //! * [`stats`] — counters and histograms that feed the paper's figures;
 //! * [`Prng`] — a small, fully deterministic pseudo-random number
 //!   generator (xoshiro256++) so that simulations are reproducible
-//!   bit-for-bit from a seed.
+//!   bit-for-bit from a seed; [`Chance`] is a precomputed Bernoulli
+//!   threshold for draws on a hot path.
 //!
 //! # Examples
 //!
@@ -42,6 +43,6 @@ pub mod stats;
 pub use component::{Component, Port};
 pub use event::EventQueue;
 pub use partition::{Lookahead, Partition};
-pub use rng::Prng;
+pub use rng::{Chance, Prng};
 pub use server::{MultiServer, Pipe, Server};
 pub use stats::{Counter, Histogram, Ratio};

@@ -21,6 +21,31 @@ pub struct Prng {
     s: [u64; 4],
 }
 
+/// A Bernoulli probability precomputed for [`Prng::draw`].
+///
+/// [`Prng::chance`] compares `k * 2^-53` against `p`, where `k` is the
+/// top 53 bits of a draw. That product is exact, so the comparison is
+/// `k < p * 2^53`, and for an integer `k` that is `k < ceil(p * 2^53)`.
+/// The threshold is that ceiling, clamped to `[0, 2^53]`; NaN and
+/// `p <= 0` give 0. Building it costs a float `ceil`, so build it once
+/// per probability, not per draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chance(u64);
+
+impl Chance {
+    /// The threshold for probability `p`.
+    pub fn new(p: f64) -> Self {
+        const ONE: u64 = 1 << 53;
+        if p.is_nan() || p <= 0.0 {
+            Chance(0)
+        } else if p >= 1.0 {
+            Chance(ONE)
+        } else {
+            Chance((p * ONE as f64).ceil() as u64)
+        }
+    }
+}
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -103,9 +128,29 @@ impl Prng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// `true` with probability `p` (clamped to `[0, 1]`).
+    /// `true` with probability `p`: never for `p <= 0` or NaN, always
+    /// for `p >= 1`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
+    }
+
+    /// `true` with the probability `c` was built from: the same result,
+    /// from the same single draw, as [`Prng::chance`] with that
+    /// probability, without the float conversion.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use piranha_kernel::{Chance, Prng};
+    /// let mut a = Prng::seed_from_u64(3);
+    /// let mut b = a.clone();
+    /// let c = Chance::new(0.25);
+    /// for _ in 0..100 {
+    ///     assert_eq!(a.draw(c), b.chance(0.25));
+    /// }
+    /// ```
+    pub fn draw(&mut self, c: Chance) -> bool {
+        (self.next_u64() >> 11) < c.0
     }
 
     /// A geometrically-distributed value (number of failures before the
@@ -216,6 +261,61 @@ mod tests {
         let hits = (0..n).filter(|_| r.chance(0.3)).count();
         let frac = hits as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.01, "frac {frac} too far from 0.3");
+    }
+
+    #[test]
+    fn threshold_draws_match_float_draws() {
+        let tiny = f64::powi(2.0, -53);
+        let mut ps = vec![
+            0.0,
+            -0.0,
+            1e-300,
+            f64::from_bits(1), // smallest subnormal
+            tiny,
+            0.1,
+            0.5,
+            0.58,
+            1.0 - tiny,
+            1.0,
+            1.5,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut pick = Prng::seed_from_u64(12);
+        for i in 0..10_000 {
+            // Uniform p, then p spread across magnitudes and just off the
+            // grid of representable draws.
+            ps.push(match i % 3 {
+                0 => pick.unit_f64(),
+                1 => pick.unit_f64() * f64::powi(2.0, -(pick.below(60) as i32)),
+                _ => (pick.below(1 << 20) as f64 + 0.5) * f64::powi(2.0, -20),
+            });
+        }
+        let src = Prng::seed_from_u64(13);
+        for (i, p) in ps.into_iter().enumerate() {
+            let c = Chance::new(p);
+            let mut a = src.derive(i as u64);
+            let mut b = a.clone();
+            for _ in 0..1000 {
+                assert_eq!(a.draw(c), b.chance(p), "p = {p:e}");
+            }
+            assert_eq!(a, b, "both consume one draw");
+        }
+    }
+
+    #[test]
+    fn threshold_edges() {
+        let one = 1u64 << 53;
+        assert_eq!(Chance::new(f64::NAN), Chance(0));
+        assert_eq!(Chance::new(-0.0), Chance(0));
+        assert_eq!(Chance::new(f64::NEG_INFINITY), Chance(0));
+        assert_eq!(Chance::new(1e-300), Chance(1));
+        assert_eq!(Chance::new(0.5), Chance(one / 2));
+        assert_eq!(Chance::new(1.0 - f64::powi(2.0, -53)), Chance(one - 1));
+        assert_eq!(Chance::new(1.0), Chance(one));
+        assert_eq!(Chance::new(f64::INFINITY), Chance(one));
     }
 
     #[test]

@@ -141,6 +141,10 @@ impl InstrStream for OpenLoopStream {
         self.inner.units_completed()
     }
 
+    fn may_park(&self) -> bool {
+        true
+    }
+
     fn parked(&self) -> bool {
         self.parked
     }

@@ -45,6 +45,19 @@ pub use web::{WebConfig, WebStream};
 
 use piranha_cpu::InstrStream;
 
+/// The instruction offset after `off` in a looping code region of
+/// `code_bytes`: `(off + 4) % code_bytes`, dividing only on a wrap.
+/// Callers keep `off < code_bytes`, so below the region size the sum is
+/// already the remainder, and the two agree for every region size.
+fn next_pc_off(off: u64, code_bytes: u64) -> u64 {
+    let next = off + 4;
+    if next < code_bytes {
+        next
+    } else {
+        next % code_bytes
+    }
+}
+
 /// The workloads of the paper's evaluation, plus the synthetic stream.
 #[derive(Debug, Clone)]
 pub enum Workload {

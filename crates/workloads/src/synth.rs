@@ -2,7 +2,7 @@
 //! sweeps, and property tests.
 
 use piranha_cpu::{InstrStream, OpKind, StreamOp};
-use piranha_kernel::Prng;
+use piranha_kernel::{Chance, Prng};
 use piranha_types::Addr;
 
 use crate::layout::Layout;
@@ -86,6 +86,11 @@ pub struct SynthStream {
     private_base: Addr,
     shared_base: Addr,
     pc_off: u64,
+    /// The configured probabilities as draw thresholds.
+    shared: Chance,
+    mispredict: Chance,
+    serial_dep: Chance,
+    taken: Chance,
 }
 
 impl SynthStream {
@@ -105,13 +110,17 @@ impl SynthStream {
             code_base: code.base,
             private_base: Addr(private.base.0 + cfg.private_bytes * cpu_index as u64),
             shared_base: shared.base,
+            shared: Chance::new(cfg.shared_frac),
+            mispredict: Chance::new(cfg.mispredict_rate),
+            serial_dep: Chance::new(cfg.serial_dep_rate),
+            taken: Chance::new(0.5),
             cfg,
             pc_off: 0,
         }
     }
 
     fn data_addr(&mut self) -> Addr {
-        if self.rng.chance(self.cfg.shared_frac) {
+        if self.rng.draw(self.shared) {
             Addr(self.shared_base.0 + self.rng.below(self.cfg.shared_bytes / 8) * 8)
         } else {
             Addr(self.private_base.0 + self.rng.below(self.cfg.private_bytes / 8) * 8)
@@ -122,7 +131,7 @@ impl SynthStream {
 impl InstrStream for SynthStream {
     fn next_op(&mut self) -> Option<StreamOp> {
         let pc = Addr(self.code_base.0 + self.pc_off);
-        self.pc_off = (self.pc_off + 4) % self.cfg.code_bytes;
+        self.pc_off = crate::next_pc_off(self.pc_off, self.cfg.code_bytes);
         let u = self.rng.unit_f64();
         let kind = if u < self.cfg.load_frac {
             OpKind::Load {
@@ -135,11 +144,11 @@ impl InstrStream for SynthStream {
             }
         } else if u < self.cfg.load_frac + self.cfg.store_frac + self.cfg.branch_frac {
             OpKind::Branch {
-                taken: self.rng.chance(0.5),
-                mispredict: Some(self.rng.chance(self.cfg.mispredict_rate)),
+                taken: self.rng.draw(self.taken),
+                mispredict: Some(self.rng.draw(self.mispredict)),
             }
         } else {
-            let dep1 = u64::from(self.rng.chance(self.cfg.serial_dep_rate)) as u32;
+            let dep1 = u64::from(self.rng.draw(self.serial_dep)) as u32;
             OpKind::Alu {
                 mul: false,
                 dep1,

@@ -15,7 +15,7 @@
 //! parallelism.
 
 use piranha_cpu::{InstrStream, OpKind, StreamOp};
-use piranha_kernel::Prng;
+use piranha_kernel::{Chance, Prng};
 use piranha_types::Addr;
 
 use crate::layout::Layout;
@@ -73,6 +73,10 @@ pub struct WebStream {
     chain_gap: u32,
     queries_served: u64,
     thread: usize,
+    /// The serial-chain probability as a draw threshold.
+    serial_dep: Chance,
+    /// The loop-branch misprediction rate as a draw threshold.
+    mispredict: Chance,
 }
 
 impl WebStream {
@@ -89,6 +93,8 @@ impl WebStream {
         let index = l.alloc("web_index", cfg.index_bytes);
         WebStream {
             rng: Prng::seed_from_u64(seed).derive(0x3eb_000 + cpu_index as u64),
+            serial_dep: Chance::new(cfg.serial_dep_rate),
+            mispredict: Chance::new(0.01),
             cfg,
             code_base: code.base,
             index_base: index.base,
@@ -109,7 +115,7 @@ impl WebStream {
 
     fn next_pc(&mut self) -> Addr {
         let pc = Addr(self.code_base.0 + self.pc_off);
-        self.pc_off = (self.pc_off + 4) % self.cfg.code_bytes;
+        self.pc_off = crate::next_pc_off(self.pc_off, self.cfg.code_bytes);
         pc
     }
 
@@ -120,7 +126,7 @@ impl WebStream {
             if self.since_branch >= 7 {
                 self.since_branch = 0;
                 self.chain_gap += 1;
-                let mp = self.rng.chance(0.01);
+                let mp = self.rng.draw(self.mispredict);
                 self.queue.push_back(StreamOp {
                     pc,
                     kind: OpKind::Branch {
@@ -130,7 +136,7 @@ impl WebStream {
                 });
                 continue;
             }
-            let dep1 = if self.rng.chance(self.cfg.serial_dep_rate) {
+            let dep1 = if self.rng.draw(self.serial_dep) {
                 let d = self.chain_gap;
                 self.chain_gap = 1;
                 d
