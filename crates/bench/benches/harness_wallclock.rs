@@ -1,10 +1,11 @@
-//! Wall-clock comparison of the two full-evaluation paths: the old
-//! per-figure serial loop (`all_figures_serial`) versus the parallel,
-//! memoizing harness (`all_figures`). The memoized path runs each
-//! unique `(config, workload, scale)` tuple once and fans the unique
-//! runs out over worker threads, so the gap widens with core count.
+//! Wall-clock comparison of the full evaluation on a serial harness
+//! (`Harness::serial()`) versus a parallel one (`Harness::new()`). Both
+//! memoize the same union plan, running each unique
+//! `(config, workload, scale)` tuple once, so the gap is the parallel
+//! harness fanning the unique runs out over worker threads; it widens
+//! with core count.
 use criterion::{criterion_group, criterion_main, Criterion};
-use piranha::experiments::{self, RunScale};
+use piranha::experiments::{self, Harness, RunScale};
 
 fn bench(c: &mut Criterion) {
     // Small enough for Criterion iteration, big enough that simulation
@@ -14,17 +15,17 @@ fn bench(c: &mut Criterion) {
         measure: 20_000,
         ..RunScale::tiny()
     };
-    let serial = experiments::all_figures_serial(scale);
-    let parallel = experiments::all_figures(scale);
+    let serial = experiments::all_figures(&mut Harness::serial(), scale);
+    let parallel = experiments::all_figures(&mut Harness::new(), scale);
     assert_eq!(serial, parallel, "paths must agree before timing them");
 
     let mut g = c.benchmark_group("all_figures");
     g.sample_size(10);
     g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(experiments::all_figures_serial(scale)))
+        b.iter(|| std::hint::black_box(experiments::all_figures(&mut Harness::serial(), scale)))
     });
     g.bench_function("parallel_memoized", |b| {
-        b.iter(|| std::hint::black_box(experiments::all_figures(scale)))
+        b.iter(|| std::hint::black_box(experiments::all_figures(&mut Harness::new(), scale)))
     });
     g.finish();
 }

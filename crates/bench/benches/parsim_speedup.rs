@@ -24,14 +24,17 @@
 
 use std::time::Instant;
 
-use piranha::experiments::{self, RunScale};
-use piranha::harness::run_config_parallel_machine;
+use piranha::experiments::{self, RunRequest, RunScale};
+use piranha::harness::{run, RunOptions};
 use piranha::{ParsimStats, SystemConfig};
 
 fn main() {
     let cfg = SystemConfig::piranha_pn(4).scaled_to_chips(4);
-    let w = experiments::oltp();
-    let scale = RunScale::quick();
+    let req = RunRequest::new(cfg.clone(), experiments::oltp(), RunScale::quick());
+    let on = |workers| RunOptions {
+        workers: Some(workers),
+        ..RunOptions::default()
+    };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "parsim_speedup: {} on OLTP at quick scale, {cores} core(s)",
@@ -39,7 +42,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let (serial, m) = run_config_parallel_machine(cfg.clone(), &w, scale, 1);
+    let (serial, m) = run(&req, &on(1));
     let serial_s = t0.elapsed().as_secs_f64();
     let stats: ParsimStats = m.parsim_stats();
     let sim_us = m.now().as_ns() as f64 / 1000.0;
@@ -76,7 +79,7 @@ fn main() {
             continue;
         }
         let t0 = Instant::now();
-        let (r, m) = run_config_parallel_machine(cfg.clone(), &w, scale, workers);
+        let (r, m) = run(&req, &on(workers));
         let secs = t0.elapsed().as_secs_f64();
         assert_eq!(
             r.fingerprint(),

@@ -1,29 +1,39 @@
-//! Calibration helper: prints the key figure shapes at a chosen scale.
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, StoreCli};
+//! Calibration helper: prints the key figure shapes at full scale.
+//!
+//! Flags: `--quick` (CI scale), `--store=<dir>` (persistent result
+//! store). See `piranha::observe::Cli` for the flag grammar; an unknown
+//! or malformed flag exits with status 2.
+use piranha::experiments::{self, Harness};
+use piranha::observe::Cli;
 
 fn main() {
-    let store = StoreCli::from_env_args().apply();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("full") => RunScale::full(),
-        _ => RunScale::quick(),
-    };
+    let cli = Cli::from_env();
+    let setup = cli.install();
+    let scale = cli.scale();
+    let mut h = Harness::new();
     let t0 = std::time::Instant::now();
     println!(
         "{}",
-        experiments::render_bars("Fig5 OLTP", &experiments::fig5(&experiments::oltp(), scale))
+        experiments::render_bars(
+            "Fig5 OLTP",
+            &experiments::fig5(&mut h, &experiments::oltp(), scale)
+        )
     );
     println!("[{:.1}s]", t0.elapsed().as_secs_f32());
     println!(
         "{}",
-        experiments::render_bars("Fig5 DSS", &experiments::fig5(&experiments::dss(), scale))
+        experiments::render_bars(
+            "Fig5 DSS",
+            &experiments::fig5(&mut h, &experiments::dss(), scale)
+        )
     );
     println!("[{:.1}s]", t0.elapsed().as_secs_f32());
-    println!("Fig6a speedups: {:?}", experiments::fig6a(scale));
-    println!("Fig6b breakdown: {:?}", experiments::fig6b(scale));
-    println!("Mem page hit rate: {:.2}", experiments::mem_pages(scale));
+    println!("Fig6a speedups: {:?}", experiments::fig6a(&mut h, scale));
+    println!("Fig6b breakdown: {:?}", experiments::fig6b(&mut h, scale));
+    println!(
+        "Mem page hit rate: {:.2}",
+        experiments::mem_pages(&mut h, scale)
+    );
     println!("[{:.1}s total]", t0.elapsed().as_secs_f32());
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    setup.finish();
 }

@@ -1,7 +1,8 @@
 //! Calibration diagnostics: per-configuration miss profiles on OLTP and
 //! instruction throughput on DSS (a development aid; the shipped figures
 //! come from the `fig*` binaries).
-use piranha::experiments::{dss, oltp, run_config, RunScale};
+use piranha::experiments::{dss, oltp, RunRequest, RunScale};
+use piranha::harness::{run, RunOptions};
 use piranha::SystemConfig;
 
 fn main() {
@@ -12,7 +13,7 @@ fn main() {
         SystemConfig::ooo(),
         SystemConfig::piranha_p8(),
     ] {
-        let r = run_config(cfg, &oltp(), scale);
+        let (r, _) = run(&RunRequest::new(cfg, oltp(), scale), &RunOptions::default());
         let m = r.merged();
         let period_ns = 1000.0 / r.clock.mhz() as f64;
         println!(
@@ -26,7 +27,7 @@ fn main() {
         );
     }
     for cfg in [SystemConfig::ino(), SystemConfig::ooo()] {
-        let r = run_config(cfg, &dss(), scale);
+        let (r, _) = run(&RunRequest::new(cfg, dss(), scale), &RunOptions::default());
         let m = r.merged();
         println!(
             "{:<5} DSS instrs={} ipc={:.2}",

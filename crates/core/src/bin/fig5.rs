@@ -2,39 +2,28 @@
 //! versus the out-of-order (OOO) and in-order (INO) baselines on OLTP
 //! and DSS, with execution-time breakdowns (OOO = 100).
 //!
-//! Flags: `--quick` (CI scale), `--fingerprints` (print one
-//! `label\tfingerprint` line per run and nothing else — the CI golden
+//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
+//! flag exits with status 2): `--quick`, `--fingerprints` (the CI golden
 //! smoke diffs this against `tests/golden_fig5_quick.tsv`),
-//! `--parallel=<n>` (run multi-chip machines with `n` lane workers —
-//! bit-identical to serial; fig5's machines are all single-chip so the
-//! flag only matters for the probed exemplar),
-//! `--trace=<path>` (Chrome-trace JSON of a probed exemplar run),
-//! `--metrics=<path>` (flat metric dump),
-//! `--sample=<period>/<window>` (run every configuration under
-//! SMARTS-style statistical sampling and print CPI / stall estimates
-//! with 95% confidence intervals instead of the normalized figures),
-//! `--traffic=<rate|curve>` (run the two-chip exemplar under open-loop
-//! arrivals and print its tail-latency summary; see
-//! `piranha::observe::TrafficCli` for the spec grammar),
-//! `--store=<dir>` (persist every run in an on-disk result store and
-//! resume from it on re-runs; `PIRANHA_STORE` works too — see
-//! `piranha::observe::StoreCli`; a summary line goes to stderr).
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, ParallelCli, ProbeCli, SampleCli, StoreCli, TrafficCli};
+//! `--parallel=<n>`, `--store=<dir>`, `--sample=<period>/<window>`
+//! (print sampled CPI / stall estimates with 95% confidence intervals
+//! instead of the normalized figures), and the exemplar flags
+//! `--trace=`, `--metrics=`, `--traffic=`, `--topology=`/`--queue=`
+//! (see `piranha::observe::exemplars`; fig5's own machines are all
+//! single-chip, so `--parallel=` only matters for the exemplars).
+use piranha::experiments::{self, Harness};
+use piranha::observe::{self, Cli};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let scale = scale_from_args();
-    if std::env::args().any(|a| a == "--fingerprints") {
+    let cli = Cli::from_env();
+    let setup = cli.install();
+    let scale = cli.scale();
+    if cli.fingerprints {
         print!(
             "{}",
             experiments::render_fingerprints(&experiments::fig5_fingerprints(scale))
         );
-        report_store(&store);
-        return;
-    }
-    if let Some(sample) = SampleCli::from_env_args().sample_config() {
+    } else if let Some(sample) = &cli.sample {
         for (title, w) in [
             (
                 "Figure 5 — OLTP, sampled (estimate ± 95% CI)",
@@ -49,70 +38,27 @@ fn main() {
                 "{}",
                 experiments::render_sampled_bars(
                     title,
-                    &experiments::fig5_sampled(&w, scale, &sample)
+                    &experiments::fig5_sampled(&w, scale, sample)
                 )
             );
         }
-        report_store(&store);
-        return;
-    }
-    println!(
-        "{}",
-        experiments::render_bars(
-            "Figure 5 — OLTP (normalized execution time, OOO = 100)",
-            &experiments::fig5(&experiments::oltp(), scale)
-        )
-    );
-    println!(
-        "{}",
-        experiments::render_bars(
-            "Figure 5 — DSS (normalized execution time, OOO = 100)",
-            &experiments::fig5(&experiments::dss(), scale)
-        )
-    );
-    run_probe_exports(scale);
-    run_traffic_exemplar();
-    report_store(&store);
-}
-
-fn report_store(store: &Option<std::sync::Arc<piranha::serve::DiskStore>>) {
-    if let Some(store) = store {
-        eprintln!("{}", observe::store_summary(store));
-    }
-}
-
-fn run_traffic_exemplar() {
-    let cli = TrafficCli::from_env_args();
-    if !cli.active() {
-        return;
-    }
-    match observe::run_traffic_exemplar(&cli, 20) {
-        Ok(summary) => print!("{summary}"),
-        Err(e) => {
-            eprintln!("traffic exemplar failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn scale_from_args() -> RunScale {
-    if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
     } else {
-        RunScale::full()
+        let mut h = Harness::new();
+        println!(
+            "{}",
+            experiments::render_bars(
+                "Figure 5 — OLTP (normalized execution time, OOO = 100)",
+                &experiments::fig5(&mut h, &experiments::oltp(), scale)
+            )
+        );
+        println!(
+            "{}",
+            experiments::render_bars(
+                "Figure 5 — DSS (normalized execution time, OOO = 100)",
+                &experiments::fig5(&mut h, &experiments::dss(), scale)
+            )
+        );
+        observe::exemplars(&cli, &experiments::oltp(), scale);
     }
-}
-
-fn run_probe_exports(scale: RunScale) {
-    let cli = ProbeCli::from_env_args();
-    if !cli.active() {
-        return;
-    }
-    match observe::export_probed_run(&cli, &experiments::oltp(), scale) {
-        Ok(summary) => print!("{summary}"),
-        Err(e) => {
-            eprintln!("probe export failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    setup.finish();
 }

@@ -3,7 +3,8 @@
 //! a headline faulted configuration **twice** to prove bit-identical
 //! determinism, and reports the availability ledger.
 //!
-//! Flags:
+//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
+//! flag exits with status 2):
 //!
 //! - `--quick` — CI scale (fewer transactions per CPU);
 //! - `--faults=<seed|script>` — a `u64` seeds a random schedule; any
@@ -14,33 +15,27 @@
 //!   JSON (this is what the CI `fault-smoke` step validates);
 //! - `--parallel=<n>` — run multi-chip machines (the sweep's and the
 //!   headline's) with `n` lane workers; bit-identical to serial;
-//! - `--store=<dir>` — persistent result store; see
-//!   `piranha::observe::StoreCli`.
-use piranha::experiments::{self, RunScale};
-use piranha::harness::run_config;
-use piranha::observe::{self, FaultCli, ParallelCli, ProbeCli, StoreCli};
-use piranha::FaultConfig;
+//! - `--store=<dir>` — persistent result store.
+use piranha::experiments::{self, Harness, RunRequest, RunScale};
+use piranha::harness::{run, RunOptions};
+use piranha::observe::{self, Cli};
+use piranha::{FaultConfig, SystemConfig};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let txns: u64 = if quick { 40 } else { 200 };
-    let fcli = FaultCli::from_env_args();
-    let faults = match fcli.fault_config() {
-        Ok(cfg) if cfg.enabled() => cfg,
-        // No flags: still exercise the recovery machinery by default.
-        Ok(_) => FaultConfig::seeded(42, 1e-4),
-        Err(e) => {
-            eprintln!("bad --faults value: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cli = Cli::from_env();
+    let setup = cli.install();
+    let txns: u64 = if cli.quick { 40 } else { 200 };
+    // No flags: still exercise the recovery machinery by default.
+    let faults = cli
+        .faults
+        .clone()
+        .filter(FaultConfig::enabled)
+        .unwrap_or_else(|| FaultConfig::seeded(42, 1e-4));
 
     // The sweep: fault rate × configuration, through the memoized
     // parallel harness, each paired against its fault-free baseline.
     let seed = faults.seed;
-    let rows = experiments::fig_faults(seed, txns);
+    let rows = experiments::fig_faults(&mut Harness::new(), seed, txns);
     println!(
         "{}",
         experiments::render_fault_rows(
@@ -56,14 +51,18 @@ fn main() {
     // exemplar, executed twice to prove bit-identical determinism, plus
     // the fault-free baseline of the same machine for slowdown.
     let w = experiments::oltp_bounded(txns);
-    let scale = RunScale::completion();
+    let run_once = |cfg: &SystemConfig| {
+        let req = RunRequest::new(cfg.clone(), w.clone(), RunScale::completion());
+        run(&req, &RunOptions::default()).0
+    };
     let mut cfg = observe::exemplar_config();
     cfg.faults = faults;
-    let r1 = run_config(cfg.clone(), &w, scale);
-    let r2 = run_config(cfg.clone(), &w, scale);
-    let mut base_cfg = cfg.clone();
-    base_cfg.faults = FaultConfig::default();
-    let base = run_config(base_cfg, &w, scale);
+    let r1 = run_once(&cfg);
+    let r2 = run_once(&cfg);
+    let base = run_once(&SystemConfig {
+        faults: FaultConfig::default(),
+        ..cfg.clone()
+    });
 
     assert_eq!(
         r1.fingerprint(),
@@ -97,16 +96,7 @@ fn main() {
         r1.fingerprint() == r2.fingerprint()
     );
 
-    let probe_cli = ProbeCli::from_env_args();
-    if let Some(path) = &probe_cli.metrics {
-        let body = observe::json::fault_headline(&cfg.name, txns, &r1, &r2, slowdown);
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("  availability report -> {}", path.display());
-    }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    let report = observe::json::fault_headline(&cfg.name, txns, &r1, &r2, slowdown);
+    cli.write_report("  availability report", &report);
+    setup.finish();
 }

@@ -4,7 +4,8 @@
 //! rate and reports p50/p95/p99 transaction latency, drop rate, and the
 //! saturation knee (the classic open-loop hockey-stick).
 //!
-//! Flags:
+//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
+//! flag exits with status 2):
 //!
 //! - `--quick` — CI scale (fewer transactions per CPU);
 //! - `--check` — exit nonzero unless p99 is monotone non-decreasing
@@ -17,39 +18,25 @@
 //!   — sweep the same load fractions over an overridden fabric
 //!   (calibration reruns on the overridden machine, so the load
 //!   fractions stay anchored to *its* service rate);
-//! - `--store=<dir>` — persistent result store; see
-//!   `piranha::observe::StoreCli`.
+//! - `--store=<dir>` — persistent result store.
 use piranha::experiments::{self, LatencyReport};
-use piranha::observe::{self, FabricCli, ParallelCli, ProbeCli, StoreCli};
+use piranha::observe::{self, Cli};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let quick = std::env::args().any(|a| a == "--quick");
+    let cli = Cli::from_env();
+    let setup = cli.install();
     let mut cfg = experiments::fig_latency_config();
-    if let Err(e) = FabricCli::from_env_args().apply(&mut cfg) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let rep = experiments::fig_latency_on(cfg, quick);
+    cli.apply_fabric(&mut cfg);
+    let rep = experiments::fig_latency(cfg, cli.quick);
     print!("{}", experiments::render_latency_report(&rep));
 
-    let cli = ProbeCli::from_env_args();
-    if let Some(path) = &cli.metrics {
-        if let Err(e) = std::fs::write(path, observe::json::latency_report(&rep)) {
-            eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("latency report -> {}", path.display());
-    }
+    cli.write_report("latency report", &observe::json::latency_report(&rep));
 
-    if std::env::args().any(|a| a == "--check") {
+    if cli.check {
         check(&rep);
         println!("latency-smoke checks passed");
     }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    setup.finish();
 }
 
 /// The CI assertions: the hockey-stick must be monotone (within a 10%

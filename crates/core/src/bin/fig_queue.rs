@@ -7,7 +7,8 @@
 //! point it at a long-running `piranha_serve` instead to exercise
 //! cross-process reuse.
 //!
-//! Flags:
+//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
+//! flag exits with status 2):
 //!
 //! - `--addr=<host:port>` — connect to an external `piranha_serve`
 //!   instead of spawning one in-process;
@@ -16,29 +17,25 @@
 //!   store), with the usual `PIRANHA_STORE` fallback;
 //! - `--parallel=<n>` — lane workers per simulation (in-process server
 //!   only).
-use std::sync::Arc;
 use std::time::Instant;
 
-use piranha::observe::{ParallelCli, StoreCli};
-use piranha::serve::{Client, DiskStore, JobStatus, RunSpec, Server, ServerConfig};
+use piranha::harness::ResultStore;
+use piranha::observe::Cli;
+use piranha::serve::{Client, JobStatus, RunSpec, Server, ServerConfig};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let addr = std::env::args().find_map(|a| a.strip_prefix("--addr=").map(str::to_string));
+    let mut cli = Cli::from_env();
+    if cli.addr.is_some() {
+        // The external server owns its store.
+        cli.store = None;
+    }
+    let setup = cli.install();
 
     // Without --addr=, run the whole service in this process.
-    let (addr, local) = match addr {
+    let (addr, local) = match cli.addr {
         Some(a) => (a, None),
         None => {
-            let store = StoreCli::from_env_args()
-                .dir
-                .map(|dir| match DiskStore::open(&dir) {
-                    Ok(s) => Arc::new(s) as Arc<dyn piranha::harness::ResultStore>,
-                    Err(e) => {
-                        eprintln!("cannot open result store {}: {e}", dir.display());
-                        std::process::exit(1);
-                    }
-                });
+            let store = setup.store().map(|s| s as std::sync::Arc<dyn ResultStore>);
             let server = Server::bind("127.0.0.1:0", store, ServerConfig::default())
                 .expect("bind an ephemeral port");
             let addr = server.local_addr().expect("bound socket has an address");

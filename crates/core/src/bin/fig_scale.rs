@@ -4,7 +4,8 @@
 //! combination of the pluggable interconnect, reporting throughput,
 //! deflection/drop/pause rates, and link occupancy.
 //!
-//! Flags:
+//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
+//! flag exits with status 2):
 //!
 //! - `--quick` — CI scale (fewer transactions per CPU);
 //! - `--topology=<mesh|torus|fattree>` — narrow the sweep to one shape;
@@ -17,42 +18,23 @@
 //! - `--metrics=<path>` — write the sweep as JSON;
 //! - `--parallel=<n>` — run every machine with `n` lane workers
 //!   (bit-identical to serial; only wall-clock changes);
-//! - `--store=<dir>` — persistent result store; see
-//!   `piranha::observe::StoreCli`.
+//! - `--store=<dir>` — persistent result store.
 use piranha::experiments::{self, ScaleReport};
-use piranha::observe::{self, FabricCli, ParallelCli, ProbeCli, StoreCli};
+use piranha::observe::{self, Cli};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let fabric = FabricCli::from_env_args();
-    let (topology, queue) = match fabric.resolve() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let rep = experiments::fig_scale(quick, topology, queue);
+    let cli = Cli::from_env();
+    let setup = cli.install();
+    let rep = experiments::fig_scale(cli.quick, cli.topology, cli.queue);
     print!("{}", experiments::render_scale_report(&rep));
 
-    let cli = ProbeCli::from_env_args();
-    if let Some(path) = &cli.metrics {
-        if let Err(e) = std::fs::write(path, observe::json::scale_report(&rep)) {
-            eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("scale report -> {}", path.display());
-    }
+    cli.write_report("scale report", &observe::json::scale_report(&rep));
 
-    if std::env::args().any(|a| a == "--check") {
+    if cli.check {
         check(&rep);
         println!("scale-smoke checks passed");
     }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    setup.finish();
 }
 
 /// The CI assertion: finite port buffers must actually bite somewhere

@@ -1,21 +1,19 @@
 //! Regenerates the §2.4 claim: RDRAM open-page hit rate on OLTP with a
 //! ~1 µs page-open policy.
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, StoreCli};
+//!
+//! Flags: `--quick` (CI scale), `--store=<dir>` (persistent result
+//! store). See `piranha::observe::Cli` for the flag grammar; an unknown
+//! or malformed flag exits with status 2.
+use piranha::experiments::{self, Harness};
+use piranha::observe::Cli;
 
 fn main() {
-    let store = StoreCli::from_env_args().apply();
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
-    let r = experiments::mem_pages(scale);
+    let cli = Cli::from_env();
+    let setup = cli.install();
+    let r = experiments::mem_pages(&mut Harness::new(), cli.scale());
     println!(
         "RDRAM open-page hit rate on OLTP (1µs hold): {:.0}%",
         r * 100.0
     );
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    setup.finish();
 }

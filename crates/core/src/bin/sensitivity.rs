@@ -2,22 +2,17 @@
 //! and the TPC-C-like workload.
 //!
 //! Flags: `--quick` (CI scale), `--store=<dir>` (persistent result
-//! store; see `piranha::observe::StoreCli`).
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, StoreCli};
+//! store). See `piranha::observe::Cli` for the flag grammar; an unknown
+//! or malformed flag exits with status 2.
+use piranha::experiments::{self, Harness};
+use piranha::observe::Cli;
 
 fn main() {
-    let store = StoreCli::from_env_args().apply();
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
+    let cli = Cli::from_env();
+    let setup = cli.install();
     println!("§4 sensitivity (speedups)");
-    for (label, s) in experiments::sensitivity(scale) {
+    for (label, s) in experiments::sensitivity(&mut Harness::new(), cli.scale()) {
         println!("  {label:<32} {s:>6.2}x");
     }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    setup.finish();
 }

@@ -1,16 +1,15 @@
 //! The paper's §6 conjecture: web-server workloads like the AltaVista
 //! search engine "exhibit behavior similar to decision support (DSS)
 //! workloads" — so Piranha's throughput advantage should carry over.
-use piranha::experiments::RunScale;
+//!
+//! Flags: `--quick` (CI scale). See `piranha::observe::Cli` for the
+//! flag grammar; an unknown or malformed flag exits with status 2.
+use piranha::observe::Cli;
 use piranha::workloads::{DssConfig, WebConfig, Workload};
 use piranha::{Machine, SystemConfig};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
+    let scale = Cli::from_env().scale();
     let web = Workload::Web(WebConfig::paper_default());
     let dss = Workload::Dss(DssConfig::paper_default());
     println!("§6 — AltaVista-like web search vs DSS (normalized time, OOO = 100)");

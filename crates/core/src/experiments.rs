@@ -15,10 +15,12 @@
 //! `(SystemConfig, Workload, RunScale)` tuples it needs as a
 //! [`RunPlan`], unique runs execute across scoped worker threads, and
 //! shared baselines (OOO, P1, P8 appear in four or more figures each)
-//! are simulated exactly once. [`all_figures`] regenerates the entire
-//! evaluation through one shared cache; because every simulation is
-//! deterministic, its output is bit-identical to the serial
-//! [`all_figures_serial`] path.
+//! are simulated exactly once. Every figure function takes the
+//! `&mut Harness` it runs on, so figures share one cache when they share
+//! a harness; [`all_figures`] regenerates the entire evaluation through
+//! one. Because every simulation is deterministic, the output is
+//! bit-identical on a serial harness ([`Harness::serial`]) and a
+//! parallel one.
 
 use piranha_system::{
     FabricStats, FaultConfig, QueueDiscipline, RunResult, SystemConfig, TopologyKind,
@@ -27,6 +29,7 @@ use piranha_system::{
 use piranha_workloads::{DssConfig, OltpConfig, Workload};
 
 pub use piranha_harness::{cache_key, default_threads, Harness, RunPlan, RunRequest, RunScale};
+use piranha_harness::{run, RunOptions};
 
 /// The two paper workloads.
 pub fn oltp() -> Workload {
@@ -41,11 +44,6 @@ pub fn dss() -> Workload {
 /// The TPC-C-like OLTP variant used by the §4 sensitivity analysis.
 fn tpcc() -> Workload {
     Workload::Oltp(OltpConfig::tpcc_like())
-}
-
-/// Run one configuration against one workload (serially, no cache).
-pub fn run_config(cfg: SystemConfig, w: &Workload, scale: RunScale) -> RunResult {
-    piranha_harness::run_config(cfg, w, scale)
 }
 
 /// One bar of Figure 5/8: a configuration's normalized execution time
@@ -170,15 +168,17 @@ fn mem_pages_plan(scale: RunScale) -> RunPlan {
 }
 
 // ---------------------------------------------------------------------
-// Figure assemblers: pull memoized results out of a harness. The
-// public `figN(...)` wrappers execute the figure's own plan first, so
-// standalone calls parallelize across the figure's configurations.
+// Figures: each executes its own plan on `h` first, so its uncached
+// configurations run in parallel, then assembles the rows from `h`'s
+// memoized results. On a harness that already holds the runs (say,
+// after `all_figures_plan`) the execute step is free.
 // ---------------------------------------------------------------------
 
 /// **Figure 5**: single-chip normalized execution time (OOO = 100) with
 /// CPU-busy / L2-hit / L2-miss breakdown, for P1, OOO, INO, P8, on the
-/// given workload, assembled from `h`'s cache.
-pub fn fig5_with(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
+/// given workload.
+pub fn fig5(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
+    h.execute(&fig5_plan(w, scale));
     let base = h.get(&SystemConfig::ooo(), w, scale);
     vec![
         Bar::from(&h.get(&SystemConfig::piranha_p1(), w, scale), &base),
@@ -186,13 +186,6 @@ pub fn fig5_with(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
         Bar::from(&h.get(&SystemConfig::ino(), w, scale), &base),
         Bar::from(&h.get(&SystemConfig::piranha_p8(), w, scale), &base),
     ]
-}
-
-/// **Figure 5** with a private parallel harness.
-pub fn fig5(w: &Workload, scale: RunScale) -> Vec<Bar> {
-    let mut h = Harness::new();
-    h.execute(&fig5_plan(w, scale));
-    fig5_with(&mut h, w, scale)
 }
 
 /// **Figure 5 under sampling** (the `--sample=<period>/<window>` flag):
@@ -214,7 +207,11 @@ pub fn fig5_sampled(
     .into_iter()
     .map(|cfg| {
         let name = cfg.name.clone();
-        let r = piranha_harness::run_config_sampled(cfg, w, scale, sample);
+        let opts = RunOptions {
+            sample: Some(sample.clone()),
+            ..RunOptions::default()
+        };
+        let (r, _) = run(&RunRequest::new(cfg, w.clone(), scale), &opts);
         let est = r.sample.expect("sampled run carries an estimate");
         (name, est)
     })
@@ -246,9 +243,10 @@ pub fn render_sampled_bars(
 }
 
 /// **Figure 6(a)**: OLTP speedup of an n-CPU Piranha chip over P1, for
-/// n in {1, 2, 4, 8}, plus the OOO point for reference, assembled from
-/// `h`'s cache. Returns `(name, speedup_vs_p1)` pairs.
-pub fn fig6a_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> {
+/// n in {1, 2, 4, 8}, plus the OOO point for reference. Returns
+/// `(name, speedup_vs_p1)` pairs.
+pub fn fig6a(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> {
+    h.execute(&fig6_plan(scale));
     let w = oltp();
     let p1 = h.get(&SystemConfig::piranha_p1(), &w, scale);
     let mut out = vec![("P1".to_string(), 1.0)];
@@ -261,17 +259,11 @@ pub fn fig6a_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> {
     out
 }
 
-/// **Figure 6(a)** with a private parallel harness.
-pub fn fig6a(scale: RunScale) -> Vec<(String, f64)> {
-    let mut h = Harness::new();
-    h.execute(&fig6_plan(scale));
-    fig6a_with(&mut h, scale)
-}
-
 /// **Figure 6(b)**: breakdown of L1 misses (L2 hit / L2 fwd / L2 miss)
-/// for P1, P2, P4, P8 on OLTP, assembled from `h`'s cache. Returns
-/// `(name, hit, fwd, miss)` rows, fractions summing to 1.
-pub fn fig6b_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64, f64, f64)> {
+/// for P1, P2, P4, P8 on OLTP. Returns `(name, hit, fwd, miss)` rows,
+/// fractions summing to 1.
+pub fn fig6b(h: &mut Harness, scale: RunScale) -> Vec<(String, f64, f64, f64)> {
+    h.execute(&fig6_plan(scale));
     let w = oltp();
     [1usize, 2, 4, 8]
         .iter()
@@ -283,18 +275,11 @@ pub fn fig6b_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64, f64, f6
         .collect()
 }
 
-/// **Figure 6(b)** with a private parallel harness.
-pub fn fig6b(scale: RunScale) -> Vec<(String, f64, f64, f64)> {
-    let mut h = Harness::new();
-    h.execute(&fig6_plan(scale));
-    fig6b_with(&mut h, scale)
-}
-
 /// **Figure 7**: OLTP speedup of multi-chip systems (1, 2, 4 chips),
 /// Piranha with 4 CPUs/chip versus OOO chips, each normalized to its own
-/// single-chip result, assembled from `h`'s cache. Returns
-/// `(chips, piranha_speedup, ooo_speedup)`.
-pub fn fig7_with(h: &mut Harness, scale: RunScale) -> Vec<(usize, f64, f64)> {
+/// single-chip result. Returns `(chips, piranha_speedup, ooo_speedup)`.
+pub fn fig7(h: &mut Harness, scale: RunScale) -> Vec<(usize, f64, f64)> {
+    h.execute(&fig7_plan(scale));
     let w = oltp();
     let p_base = h.get(&SystemConfig::piranha_pn(4), &w, scale);
     let o_base = h.get(&SystemConfig::ooo(), &w, scale);
@@ -311,16 +296,10 @@ pub fn fig7_with(h: &mut Harness, scale: RunScale) -> Vec<(usize, f64, f64)> {
     out
 }
 
-/// **Figure 7** with a private parallel harness.
-pub fn fig7(scale: RunScale) -> Vec<(usize, f64, f64)> {
-    let mut h = Harness::new();
-    h.execute(&fig7_plan(scale));
-    fig7_with(&mut h, scale)
-}
-
 /// **Figure 8**: the full-custom chip (P8F) against OOO and P8, on the
-/// given workload (OOO = 100), assembled from `h`'s cache.
-pub fn fig8_with(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
+/// given workload (OOO = 100).
+pub fn fig8(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
+    h.execute(&fig8_plan(w, scale));
     let base = h.get(&SystemConfig::ooo(), w, scale);
     vec![
         Bar::from(&base, &base),
@@ -329,17 +308,11 @@ pub fn fig8_with(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
     ]
 }
 
-/// **Figure 8** with a private parallel harness.
-pub fn fig8(w: &Workload, scale: RunScale) -> Vec<Bar> {
-    let mut h = Harness::new();
-    h.execute(&fig8_plan(w, scale));
-    fig8_with(&mut h, w, scale)
-}
-
 /// **§4 sensitivity**: the pessimistic P8 (400 MHz, 32 KB 1-way L1s,
-/// 22/32 ns L2) and the TPC-C-like workload, assembled from `h`'s
-/// cache. Returns `(label, speedup_over_ooo)` rows.
-pub fn sensitivity_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> {
+/// 22/32 ns L2) and the TPC-C-like workload. Returns
+/// `(label, speedup_over_ooo)` rows.
+pub fn sensitivity(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> {
+    h.execute(&sensitivity_plan(scale));
     let w = oltp();
     let ooo = h.get(&SystemConfig::ooo(), &w, scale);
     let p8 = h.get(&SystemConfig::piranha_p8(), &w, scale);
@@ -358,25 +331,12 @@ pub fn sensitivity_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> 
     ]
 }
 
-/// **§4 sensitivity** with a private parallel harness.
-pub fn sensitivity(scale: RunScale) -> Vec<(String, f64)> {
-    let mut h = Harness::new();
-    h.execute(&sensitivity_plan(scale));
-    sensitivity_with(&mut h, scale)
-}
-
 /// **§2.4 claim**: RDRAM open-page hit rate on OLTP (the paper reports
-/// >50% with ~1 µs page-open time), assembled from `h`'s cache.
-pub fn mem_pages_with(h: &mut Harness, scale: RunScale) -> f64 {
+/// >50% with ~1 µs page-open time).
+pub fn mem_pages(h: &mut Harness, scale: RunScale) -> f64 {
+    h.execute(&mem_pages_plan(scale));
     h.get(&SystemConfig::piranha_p8(), &oltp(), scale)
         .mem_page_hit_rate
-}
-
-/// **§2.4 claim** with a private harness.
-pub fn mem_pages(scale: RunScale) -> f64 {
-    let mut h = Harness::new();
-    h.execute(&mem_pages_plan(scale));
-    mem_pages_with(&mut h, scale)
 }
 
 // ---------------------------------------------------------------------
@@ -447,16 +407,17 @@ pub fn fig_faults_plan(seed: u64, txns_per_cpu: u64) -> RunPlan {
     p
 }
 
-/// Assemble the fault sweep from `h`'s cache: for each configuration,
-/// the fault-free baseline plus each nonzero rate, with slowdown
-/// measured against the fingerprint-verified baseline.
+/// The fault sweep: for each configuration, the fault-free baseline
+/// plus each nonzero rate, with slowdown measured against the
+/// fingerprint-verified baseline.
 ///
 /// # Panics
 ///
 /// Panics if a faulted run commits different work than its baseline or
 /// its availability ledger is inconsistent — both are structural
 /// guarantees of the recovery machinery.
-pub fn fig_faults_with(h: &mut Harness, seed: u64, txns_per_cpu: u64) -> Vec<FaultRow> {
+pub fn fig_faults(h: &mut Harness, seed: u64, txns_per_cpu: u64) -> Vec<FaultRow> {
+    h.execute(&fig_faults_plan(seed, txns_per_cpu));
     let w = oltp_bounded(txns_per_cpu);
     let mut rows = Vec::new();
     for cfg in fig_faults_configs() {
@@ -493,13 +454,6 @@ pub fn fig_faults_with(h: &mut Harness, seed: u64, txns_per_cpu: u64) -> Vec<Fau
         }
     }
     rows
-}
-
-/// The fault sweep with a private parallel harness.
-pub fn fig_faults(seed: u64, txns_per_cpu: u64) -> Vec<FaultRow> {
-    let mut h = Harness::new();
-    h.execute(&fig_faults_plan(seed, txns_per_cpu));
-    fig_faults_with(&mut h, seed, txns_per_cpu)
 }
 
 /// Render the fault sweep as a text table.
@@ -612,8 +566,9 @@ pub fn fig_sample(quick: bool) -> SampleReport {
     let w = oltp_bounded(txns);
     let scale = RunScale::completion();
 
+    let req = RunRequest::new(cfg, w, scale);
     let t0 = std::time::Instant::now();
-    let detailed = run_config(cfg.clone(), &w, scale);
+    let (detailed, _) = run(&req, &RunOptions::default());
     let host_secs_detailed = t0.elapsed().as_secs_f64();
     let ref_cpi = aggregate_cpi(&detailed);
     let ref_committed = detailed
@@ -623,9 +578,12 @@ pub fn fig_sample(quick: bool) -> SampleReport {
     let rows = sample_specs(quick)
         .iter()
         .map(|&(period, window)| {
-            let sample = piranha_system::SampleConfig::new(period, window);
+            let opts = RunOptions {
+                sample: Some(piranha_system::SampleConfig::new(period, window)),
+                ..RunOptions::default()
+            };
             let t = std::time::Instant::now();
-            let r = piranha_harness::run_config_sampled(cfg.clone(), &w, scale, &sample);
+            let (r, _) = run(&req, &opts);
             let host_secs = t.elapsed().as_secs_f64();
             let est = r.sample.clone().expect("sampled run carries an estimate");
             assert_eq!(
@@ -646,7 +604,7 @@ pub fn fig_sample(quick: bool) -> SampleReport {
         .collect();
 
     SampleReport {
-        config: cfg.name,
+        config: req.cfg.name,
         txns_per_cpu: txns,
         ref_cpi,
         ref_committed,
@@ -753,10 +711,12 @@ pub struct LatencyReport {
 }
 
 /// **Tail latency vs offered load**: calibrate the closed-loop service
-/// rate of [`fig_latency_config`] on a bounded OLTP workload, then
-/// sweep open-loop Poisson arrivals across [`LOAD_FRACTIONS`] of that
-/// rate and report p50/p95/p99 transaction latency and drop rate at
-/// each point. `quick` shrinks the workload to CI scale.
+/// rate of `cfg` (the binary passes [`fig_latency_config`], with any
+/// `--topology=`/`--queue=` override applied) on a bounded OLTP
+/// workload, then sweep open-loop Poisson arrivals across
+/// [`LOAD_FRACTIONS`] of that rate and report p50/p95/p99 transaction
+/// latency and drop rate at each point. `quick` shrinks the workload to
+/// CI scale.
 ///
 /// Every run is deterministic, so the whole report (fingerprints
 /// included) is reproducible bit-for-bit at any `--parallel` worker
@@ -767,26 +727,17 @@ pub struct LatencyReport {
 /// Panics if a loaded run's traffic ledger does not conserve
 /// (`accepted + dropped + deferred == generated`) — a structural
 /// guarantee of the admission gate.
-pub fn fig_latency(quick: bool) -> LatencyReport {
-    fig_latency_on(fig_latency_config(), quick)
-}
-
-/// [`fig_latency`] on an explicit configuration — the
-/// `--topology=`/`--queue=` rider of the latency binary sweeps the same
-/// load fractions over an overridden fabric.
-///
-/// # Panics
-///
-/// Panics as [`fig_latency`] does when a traffic ledger fails to
-/// conserve.
-pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
+pub fn fig_latency(cfg: SystemConfig, quick: bool) -> LatencyReport {
     let txns = if quick { 12 } else { 60 };
     let w = oltp_bounded(txns);
 
     // Closed-loop calibration: with no arrival gating the machine runs
     // at 100% utilization, so committed work over wall cycles is the
     // per-core service rate the load fractions are anchored to.
-    let base = run_config(cfg.clone(), &w, RunScale::completion());
+    let (base, _) = run(
+        &RunRequest::new(cfg.clone(), w.clone(), RunScale::completion()),
+        &RunOptions::default(),
+    );
     let committed = base.committed_txns.expect("bounded workload reports work") as f64;
     let cycles = base.clock.cycles(base.window).max(1) as f64;
     let service_tpmc = committed / base.cpus.len() as f64 / cycles * 1e6;
@@ -795,13 +746,10 @@ pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
         .iter()
         .map(|&fraction| {
             let rate_tpmc = fraction * service_tpmc;
-            let traffic = TrafficConfig::poisson(rate_tpmc);
-            let r = piranha_harness::run_config_traffic(
-                cfg.clone(),
-                &w,
-                RunScale::completion(),
-                traffic,
-            );
+            let mut loaded = cfg.clone();
+            loaded.traffic = TrafficConfig::poisson(rate_tpmc);
+            let req = RunRequest::new(loaded, w.clone(), RunScale::completion());
+            let (r, _) = run(&req, &RunOptions::default());
             let t = r.traffic.clone().expect("traffic was enabled");
             assert!(
                 t.ledger.conserved(),
@@ -969,7 +917,6 @@ pub fn fig_scale(
 ) -> ScaleReport {
     let txns = if quick { 2 } else { 6 };
     let w = oltp_bounded(txns);
-    let workers = piranha_harness::node_workers();
     let mut rows = Vec::new();
     for nodes in SCALE_NODES {
         for topo in SCALE_TOPOLOGIES {
@@ -983,12 +930,8 @@ pub fn fig_scale(
                 let mut cfg = SystemConfig::piranha_pn(1).scaled_to_chips(nodes);
                 cfg.topology = topo;
                 cfg.net.queue = q;
-                let (r, m) = piranha_harness::run_config_parallel_machine(
-                    cfg,
-                    &w,
-                    RunScale::completion(),
-                    workers,
-                );
+                let req = RunRequest::new(cfg, w.clone(), RunScale::completion());
+                let (r, m) = run(&req, &RunOptions::default());
                 let fs = m.fabric_stats();
                 assert_eq!(
                     fs.delivered + fs.retransmits,
@@ -1233,62 +1176,24 @@ pub fn all_figures_plan(scale: RunScale) -> RunPlan {
     plan
 }
 
-/// Assemble every figure from `h`'s cache (executing the union plan
-/// first so the assembly itself is all cache hits).
-pub fn all_figures_with(h: &mut Harness, scale: RunScale) -> Figures {
+/// Regenerate the entire §4 evaluation on `h`: the union plan of every
+/// figure executes first, so every shared baseline (OOO, P1, P8, …) is
+/// simulated exactly once per workload and the unique runs fan out
+/// across `h`'s worker threads; the figures are then assembled from
+/// `h`'s cache. Bit-identical on [`Harness::serial`] and on a parallel
+/// harness.
+pub fn all_figures(h: &mut Harness, scale: RunScale) -> Figures {
     h.execute(&all_figures_plan(scale));
     Figures {
-        fig5_oltp: fig5_with(h, &oltp(), scale),
-        fig5_dss: fig5_with(h, &dss(), scale),
-        fig6a: fig6a_with(h, scale),
-        fig6b: fig6b_with(h, scale),
-        fig7: fig7_with(h, scale),
-        fig8_oltp: fig8_with(h, &oltp(), scale),
-        fig8_dss: fig8_with(h, &dss(), scale),
-        sensitivity: sensitivity_with(h, scale),
-        mem_page_hit_rate: mem_pages_with(h, scale),
-    }
-}
-
-/// Regenerate the entire §4 evaluation through one parallel, memoizing
-/// harness: every shared baseline (OOO, P1, P8, …) is simulated exactly
-/// once per workload, and the unique runs fan out across worker threads
-/// (`PIRANHA_THREADS` overrides the count). Bit-identical to
-/// [`all_figures_serial`].
-pub fn all_figures(scale: RunScale) -> Figures {
-    let mut h = Harness::new();
-    all_figures_with(&mut h, scale)
-}
-
-/// The pre-harness behavior, kept as the performance and correctness
-/// baseline: each figure runs serially with its own private cache, so
-/// cross-figure baselines are re-simulated from scratch (35 runs at
-/// paper shape versus the ~19 unique ones `all_figures` executes).
-pub fn all_figures_serial(scale: RunScale) -> Figures {
-    let serial_fig = |plan: RunPlan| {
-        let mut h = Harness::serial();
-        h.execute(&plan);
-        h
-    };
-    let fig5_oltp = fig5_with(&mut serial_fig(fig5_plan(&oltp(), scale)), &oltp(), scale);
-    let fig5_dss = fig5_with(&mut serial_fig(fig5_plan(&dss(), scale)), &dss(), scale);
-    let fig6a = fig6a_with(&mut serial_fig(fig6_plan(scale)), scale);
-    let fig6b = fig6b_with(&mut serial_fig(fig6_plan(scale)), scale);
-    let fig7 = fig7_with(&mut serial_fig(fig7_plan(scale)), scale);
-    let fig8_oltp = fig8_with(&mut serial_fig(fig8_plan(&oltp(), scale)), &oltp(), scale);
-    let fig8_dss = fig8_with(&mut serial_fig(fig8_plan(&dss(), scale)), &dss(), scale);
-    let sensitivity = sensitivity_with(&mut serial_fig(sensitivity_plan(scale)), scale);
-    let mem_page_hit_rate = mem_pages_with(&mut serial_fig(mem_pages_plan(scale)), scale);
-    Figures {
-        fig5_oltp,
-        fig5_dss,
-        fig6a,
-        fig6b,
-        fig7,
-        fig8_oltp,
-        fig8_dss,
-        sensitivity,
-        mem_page_hit_rate,
+        fig5_oltp: fig5(h, &oltp(), scale),
+        fig5_dss: fig5(h, &dss(), scale),
+        fig6a: fig6a(h, scale),
+        fig6b: fig6b(h, scale),
+        fig7: fig7(h, scale),
+        fig8_oltp: fig8(h, &oltp(), scale),
+        fig8_dss: fig8(h, &dss(), scale),
+        sensitivity: sensitivity(h, scale),
+        mem_page_hit_rate: mem_pages(h, scale),
     }
 }
 
@@ -1424,7 +1329,7 @@ mod tests {
 
     #[test]
     fn fault_sweep_is_consistent_and_loses_no_work() {
-        let rows = fig_faults(42, 3);
+        let rows = fig_faults(&mut Harness::new(), 42, 3);
         assert_eq!(rows.len(), fig_faults_configs().len() * FAULT_RATES.len());
         for cfg in fig_faults_configs() {
             let per: Vec<&FaultRow> = rows.iter().filter(|r| r.config == cfg.name).collect();
@@ -1432,7 +1337,7 @@ mod tests {
             assert_eq!(base.availability.injected, 0);
             assert!((base.slowdown - 1.0).abs() < 1e-12);
             for r in &per {
-                // fig_faults_with already asserts ledger consistency and
+                // fig_faults already asserts ledger consistency and
                 // committed-work equality; re-check the rendered facts.
                 assert_eq!(r.committed, base.committed);
                 assert!(r.slowdown > 0.0);

@@ -1,453 +1,420 @@
-//! Observability plumbing for the figure binaries: `--trace=<path>` /
-//! `--metrics=<path>` flag parsing and the probed exemplar run whose
-//! trace and metrics they export.
+//! Command-line plumbing for the figure binaries: the one flag parser
+//! ([`Cli`]) every binary calls once, the process-wide settings it
+//! installs ([`Cli::install`]), and the exemplar runs its observability
+//! flags ask for ([`exemplars`]).
 //!
-//! Every `fig*` binary accepts:
-//!
-//! - `--trace=<path>` — write a Chrome `trace_event` JSON file (open it
-//!   in <https://ui.perfetto.dev> or `chrome://tracing`) of one probed
-//!   exemplar simulation;
-//! - `--metrics=<path>` — write the flat metric snapshot of that run,
-//!   as CSV (default) or JSON if the path ends in `.json`.
-//!
-//! The exemplar is a **two-chip** P4 system so the trace carries spans
-//! from every subsystem — cpu, cache, mem, *protocol*, and *net* — the
-//! latter two only light up when coherence crosses the interconnect.
-//! The probed run is an extra simulation; figure results themselves are
-//! never produced with a probe attached (and would be bit-identical if
-//! they were — see `tests/probe_determinism.rs`).
+//! The exemplar is a **two-chip** P4 system so a probed trace carries
+//! spans from every subsystem — cpu, cache, mem, *protocol*, and *net* —
+//! the latter two only light up when coherence crosses the
+//! interconnect. Exemplar runs are extra simulations; figure results
+//! themselves are never produced with a probe attached (and would be
+//! bit-identical if they were — see `tests/probe_determinism.rs`).
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use piranha_harness::{run_config_parallel_machine, run_config_probed, RunScale};
-use piranha_probe::{chrome, ProbeConfig, TraceLevel};
+use piranha_harness::{run, RunOptions, RunRequest, RunScale};
+use piranha_probe::{chrome, Probe, ProbeConfig, TraceLevel};
+use piranha_serve::DiskStore;
 use piranha_system::{
-    ArrivalKind, DiurnalCurve, FaultConfig, OverflowPolicy, QueueDiscipline, SystemConfig,
-    TopologyKind, TrafficConfig,
+    ArrivalKind, DiurnalCurve, FaultConfig, Machine, OverflowPolicy, QueueDiscipline, RunResult,
+    SampleConfig, SystemConfig, TopologyKind, TrafficConfig,
 };
 use piranha_workloads::Workload;
 
-/// The observability flags of a figure binary.
+/// Every accepted flag spelling, quoted in the error for an unknown one.
+const FLAGS: &str = "--quick --fingerprints --check --parallel=<n> --store=<dir> \
+     --trace=<path> --metrics=<path> --sample=<period>/<window> --traffic=<spec> \
+     --traffic-depth=<n> --traffic-defer --topology=<kind> --queue=<discipline> \
+     --faults=<seed|script> --fault-rate=<rate> --addr=<host:port>";
+
+/// Every flag the figure binaries take, read from argv in one pass.
+/// Each binary uses the subset its `//!` doc lists. An unknown flag, a
+/// positional argument or a malformed value is an error naming the
+/// argument; [`Cli::from_env`] prints it and exits with status 2, so a
+/// typo never silently runs the default setup.
 #[derive(Debug, Clone, Default)]
-pub struct ProbeCli {
-    /// Destination for the Chrome-trace JSON, if requested.
+pub struct Cli {
+    /// `--quick`: CI scale instead of the paper's full scale.
+    pub quick: bool,
+    /// `--fingerprints`: print one `label\tfingerprint` line per run and
+    /// nothing else (the golden smokes diff this).
+    pub fingerprints: bool,
+    /// `--check`: exit nonzero unless the binary's CI assertions hold.
+    pub check: bool,
+    /// `--parallel=<n>` (n ≥ 1): run every multi-chip machine with `n`
+    /// lane workers (the conservative engine of `piranha-parsim`).
+    /// Results are bit-identical to serial at any `n`; only wall-clock
+    /// changes. Single-chip machines always run the serial loop, and
+    /// the harness divides its sweep thread budget by the lane width.
+    pub parallel: Option<usize>,
+    /// `--store=<dir>`: memoize every harness run in a content-addressed
+    /// on-disk store ([`piranha_serve::DiskStore`]) keyed by the stable
+    /// `cache_key`, so a re-run (or a killed sweep resumed) recomputes
+    /// only the tuples the store lacks. Results are bit-identical with
+    /// and without it — the store is a cache, never an input.
+    /// [`Cli::from_env`] falls back to the `PIRANHA_STORE` environment
+    /// variable when the flag is absent.
+    pub store: Option<PathBuf>,
+    /// `--trace=<path>`: write a Chrome `trace_event` JSON file (open it
+    /// in <https://ui.perfetto.dev> or `chrome://tracing`) of the probed
+    /// exemplar run.
     pub trace: Option<PathBuf>,
-    /// Destination for the flat metrics dump, if requested.
+    /// `--metrics=<path>`: write the flat metric snapshot of the probed
+    /// exemplar, as CSV (default) or JSON if the path ends in `.json`;
+    /// the sweep binaries write their JSON report here instead.
     pub metrics: Option<PathBuf>,
+    /// `--sample=<period>/<window>` (window ≥ 1, period > window): run
+    /// under SMARTS-style statistical sampling, functionally
+    /// fast-forwarding (caches, TLBs, directories and memory stay warm)
+    /// between detailed windows of `window` instructions taken every
+    /// `period` instructions per CPU. Results carry a CPI estimate with
+    /// a 95% CI instead of exact figure numbers; golden fingerprints
+    /// only apply without the flag.
+    pub sample: Option<SampleConfig>,
+    /// `--traffic=<spec>` run the open-loop traffic exemplar. The spec
+    /// is one of:
+    /// - `<rate>` — steady Poisson arrivals at `rate` transactions per
+    ///   million CPU cycles per core (`--traffic=200`);
+    /// - `<rate>@<amplitude>/<period>` — the same rate modulated by a
+    ///   sinusoidal diurnal curve, swinging ±`amplitude` (fraction) over
+    ///   `period` cycles (`--traffic=200@0.5/2000000`);
+    /// - `ln<sigma>:<rate>[@<amplitude>/<period>]` — log-normal
+    ///   (burstier) inter-arrivals with shape `sigma` at the same mean
+    ///   rate (`--traffic=ln0.7:200`).
+    ///
+    /// `--traffic-depth=<n>` bounds each core's run queue (default 16)
+    /// and `--traffic-defer` parks overflowing arrivals on an unbounded
+    /// queue (counted `deferred`) instead of shedding them (`dropped`).
+    pub traffic: Option<TrafficConfig>,
+    /// `--topology=<ring|mesh|torus|fattree>`: replace the automatic
+    /// paper layout with an explicit fabric shape. `fig_scale` narrows
+    /// its sweep to the shape instead.
+    pub topology: Option<TopologyKind>,
+    /// `--queue=<droptail|lossy|pfc>`: bound every output port at the
+    /// congested capacity ([`piranha_net::CONGESTED_CAPACITY_NS`]) and
+    /// select its overflow behaviour (the default fabric is lossless
+    /// unbounded drop-tail). `fig_scale` narrows its sweep instead.
+    pub queue: Option<QueueDiscipline>,
+    /// `--faults=<seed|script>` / `--fault-rate=<rate>` (paper §2.7): a
+    /// `u64` seeds a random schedule, anything else is parsed as a fault
+    /// script (`"corrupt@50, flap@60, flip1@200"`, …); the rate is the
+    /// per-consult injection rate of a seeded schedule (default `1e-4`;
+    /// `--fault-rate=` alone seeds 42).
+    pub faults: Option<FaultConfig>,
+    /// `--addr=<host:port>`: connect to an external experiment server.
+    pub addr: Option<String>,
 }
 
-impl ProbeCli {
-    /// Parse `--trace=`/`--metrics=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments (`--quick`, …) are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = ProbeCli::default();
-        for a in args {
-            if let Some(p) = a.strip_prefix("--trace=") {
-                cli.trace = Some(PathBuf::from(p));
-            } else if let Some(p) = a.strip_prefix("--metrics=") {
-                cli.metrics = Some(PathBuf::from(p));
+impl Cli {
+    /// Parse the process arguments, with the `PIRANHA_STORE` fallback
+    /// for `--store=`. On an error, prints it to stderr and exits with
+    /// status 2 before anything is simulated.
+    pub fn from_env() -> Cli {
+        match Cli::parse(std::env::args().skip(1)) {
+            Ok(mut cli) => {
+                if cli.store.is_none() {
+                    cli.store = std::env::var_os("PIRANHA_STORE")
+                        .filter(|s| !s.is_empty())
+                        .map(PathBuf::from);
+                }
+                cli
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
             }
         }
-        cli
     }
 
-    /// Whether any export was requested.
-    pub fn active(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
-    }
-}
-
-/// The fault-injection flags of a figure binary (paper §2.7):
-///
-/// - `--faults=<seed|script>` — a `u64` selects a seeded random
-///   schedule; anything else is parsed as a fault script
-///   (`"corrupt@50, flap@60, flip1@200"`, …);
-/// - `--fault-rate=<f64>` — per-consult injection rate of a seeded
-///   schedule (ignored for scripts; default `1e-4`).
-#[derive(Debug, Clone, Default)]
-pub struct FaultCli {
-    /// The raw `--faults=` value, if given.
-    pub faults: Option<String>,
-    /// The `--fault-rate=` value, if given.
-    pub rate: Option<f64>,
-}
-
-impl FaultCli {
-    /// Parse `--faults=`/`--fault-rate=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = FaultCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--faults=") {
-                cli.faults = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("--fault-rate=") {
-                cli.rate = v.parse().ok();
-            }
-        }
-        cli
-    }
-
-    /// Whether fault injection was requested at all.
-    pub fn active(&self) -> bool {
-        self.faults.is_some() || self.rate.is_some()
-    }
-
-    /// Resolve the flags into a [`FaultConfig`]. No flags → the
-    /// disabled default; a numeric `--faults=` (or `--fault-rate=`
-    /// alone, with seed 42) → a seeded schedule; any other `--faults=`
-    /// value → a scripted schedule.
+    /// Parse an explicit argument list (no environment fallback).
     ///
     /// # Errors
     ///
-    /// Returns the parse error of a malformed fault script.
-    pub fn fault_config(&self) -> Result<FaultConfig, String> {
-        let rate = self.rate.unwrap_or(1e-4);
-        match &self.faults {
-            None if self.rate.is_some() => Ok(FaultConfig::seeded(42, rate)),
-            None => Ok(FaultConfig::default()),
-            Some(spec) => match spec.trim().parse::<u64>() {
-                Ok(seed) => Ok(FaultConfig::seeded(seed, rate)),
-                Err(_) => FaultConfig::scripted(spec),
-            },
-        }
-    }
-}
-
-/// The parallel-execution flag of a figure binary:
-///
-/// - `--parallel=<n>` — run every multi-chip machine with `n` lane
-///   worker threads (the conservative quantum-stepped engine from
-///   `piranha-parsim`). Results are bit-identical to serial at any
-///   `n`; only wall-clock changes. Single-chip machines always run the
-///   classic serial loop. The harness divides its sweep thread budget
-///   by `n` so `sweep threads × lane workers` stays within budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelCli {
-    /// The requested lane-worker count, if given.
-    pub workers: Option<usize>,
-}
-
-impl ParallelCli {
-    /// Parse `--parallel=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flag from an explicit argument list; unrelated
-    /// arguments are ignored, as is a malformed or zero count.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = ParallelCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--parallel=") {
-                cli.workers = v.trim().parse::<usize>().ok().filter(|&n| n >= 1);
+    /// Names the offending argument: an unknown flag, a positional
+    /// argument, or a malformed value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let (mut traffic, mut depth, mut defer) = (None, None, false);
+        let (mut faults, mut rate) = (None, None);
+        for arg in args {
+            let (flag, value) = match arg.split_once('=') {
+                Some((f, v)) => (f, Some(v)),
+                None => (arg.as_str(), None),
+            };
+            let bad = |why: &str| format!("bad value in {arg}: {why}");
+            let path = |v: &str| {
+                (!v.is_empty())
+                    .then(|| PathBuf::from(v))
+                    .ok_or_else(|| bad("expected a path"))
+            };
+            match (flag, value) {
+                ("--quick", None) => cli.quick = true,
+                ("--fingerprints", None) => cli.fingerprints = true,
+                ("--check", None) => cli.check = true,
+                ("--traffic-defer", None) => defer = true,
+                ("--parallel", Some(v)) => {
+                    cli.parallel = Some(count(v).ok_or_else(|| bad("expected a count >= 1"))?);
+                }
+                ("--store", Some(v)) => cli.store = Some(path(v)?),
+                ("--trace", Some(v)) => cli.trace = Some(path(v)?),
+                ("--metrics", Some(v)) => cli.metrics = Some(path(v)?),
+                ("--sample", Some(v)) => cli.sample = Some(sample_config(v).map_err(&bad)?),
+                ("--traffic", Some(v)) => traffic = Some(traffic_config(v).map_err(&bad)?),
+                ("--traffic-depth", Some(v)) => {
+                    depth = Some(count(v).ok_or_else(|| bad("expected a depth >= 1"))?);
+                }
+                ("--topology", Some(v)) => {
+                    cli.topology = Some(TopologyKind::parse(v).ok_or_else(|| {
+                        bad("unknown topology (expected ring|mesh|torus|fattree)")
+                    })?);
+                }
+                ("--queue", Some(v)) => {
+                    cli.queue = Some(QueueDiscipline::parse(v).ok_or_else(|| {
+                        bad("unknown queue discipline (expected droptail|lossy|pfc)")
+                    })?);
+                }
+                ("--faults", Some(v)) => faults = Some(v.to_string()),
+                ("--fault-rate", Some(v)) => {
+                    let r = v.trim().parse::<f64>().ok();
+                    rate = Some(
+                        r.filter(|r| r.is_finite() && *r >= 0.0)
+                            .ok_or_else(|| bad("expected a rate >= 0"))?,
+                    );
+                }
+                ("--addr", Some(v)) => {
+                    if v.is_empty() {
+                        return Err(bad("expected <host:port>"));
+                    }
+                    cli.addr = Some(v.to_string());
+                }
+                _ if !arg.starts_with("--") => return Err(format!("unexpected argument {arg}")),
+                _ => return Err(format!("unknown flag {arg} (accepted: {FLAGS})")),
             }
         }
-        cli
+        cli.traffic = traffic.map(|mut t| {
+            t.queue_depth = depth.unwrap_or(t.queue_depth);
+            if defer {
+                t.overflow = OverflowPolicy::Defer;
+            }
+            t
+        });
+        if faults.is_some() || rate.is_some() {
+            let rate = rate.unwrap_or(1e-4);
+            cli.faults = Some(match faults {
+                None => FaultConfig::seeded(42, rate),
+                Some(spec) => match spec.trim().parse::<u64>() {
+                    Ok(seed) => FaultConfig::seeded(seed, rate),
+                    Err(_) => FaultConfig::scripted(&spec)
+                        .map_err(|e| format!("bad value in --faults={spec}: {e}"))?,
+                },
+            });
+        }
+        Ok(cli)
     }
 
-    /// Apply the flag to the process-wide harness setting
-    /// ([`piranha_harness::set_node_workers`]); a no-op when the flag
-    /// was absent.
-    pub fn apply(&self) {
-        if let Some(w) = self.workers {
+    /// The run scale the flags select: [`RunScale::quick`] with
+    /// `--quick`, else [`RunScale::full`].
+    pub fn scale(&self) -> RunScale {
+        if self.quick {
+            RunScale::quick()
+        } else {
+            RunScale::full()
+        }
+    }
+
+    /// Apply `--parallel=` to the process-wide harness setting
+    /// ([`piranha_harness::set_node_workers`]) and open `--store=` as the
+    /// default store every subsequently built `Harness` picks up
+    /// ([`piranha_serve::install_store`]). Call once, before any run.
+    ///
+    /// Exits the process (status 1) if the store directory cannot be
+    /// created — a mistyped `--store=` silently computing everything
+    /// from scratch would defeat the point.
+    pub fn install(&self) -> Setup {
+        if let Some(w) = self.parallel {
             piranha_harness::set_node_workers(w);
         }
-    }
-}
-
-/// The persistent-result-store flag of a figure binary:
-///
-/// - `--store=<dir>` — memoize every harness run in a content-addressed
-///   on-disk store ([`piranha_serve::DiskStore`]) keyed by the stable
-///   `cache_key`, so re-running a figure (or resuming a killed sweep)
-///   recomputes only the tuples the store does not hold yet. Results
-///   are bit-identical with and without the flag — the store is a
-///   cache, never an input; loads that fail verification fall back to
-///   recomputation.
-///
-/// `StoreCli::from_env_args` falls back to the `PIRANHA_STORE`
-/// environment variable when the flag is absent, so whole CI jobs can
-/// opt in without touching each invocation.
-#[derive(Debug, Clone, Default)]
-pub struct StoreCli {
-    /// The store directory, if requested.
-    pub dir: Option<PathBuf>,
-}
-
-impl StoreCli {
-    /// Parse `--store=` out of the process arguments, falling back to
-    /// the `PIRANHA_STORE` environment variable.
-    pub fn from_env_args() -> Self {
-        let mut cli = Self::parse(std::env::args().skip(1));
-        if cli.dir.is_none() {
-            cli.dir = std::env::var("PIRANHA_STORE")
-                .ok()
-                .filter(|s| !s.is_empty())
-                .map(PathBuf::from);
-        }
-        cli
+        let store = self
+            .store
+            .as_ref()
+            .map(|dir| match piranha_serve::install_store(dir) {
+                Ok(store) => store,
+                Err(e) => {
+                    eprintln!("cannot open result store {}: {e}", dir.display());
+                    std::process::exit(1);
+                }
+            });
+        Setup { store }
     }
 
-    /// Parse the flag from an explicit argument list (no environment
-    /// fallback); unrelated arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = StoreCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--store=") {
-                cli.dir = Some(PathBuf::from(v));
+    /// Write a sweep binary's JSON report to `--metrics=<path>`, if
+    /// given, and print `<what> -> <path>`. Exits the process (status 1)
+    /// if the file cannot be written.
+    pub fn write_report(&self, what: &str, body: &str) {
+        if let Some(path) = &self.metrics {
+            if let Err(e) = std::fs::write(path, body) {
+                eprintln!("writing {} failed: {e}", path.display());
+                std::process::exit(1);
             }
+            println!("{what} -> {}", path.display());
         }
-        cli
     }
 
-    /// Whether a store was requested.
-    pub fn active(&self) -> bool {
-        self.dir.is_some()
+    /// Apply `--topology=`/`--queue=` to a configuration (a no-op for
+    /// absent flags).
+    pub fn apply_fabric(&self, cfg: &mut SystemConfig) {
+        if let Some(t) = self.topology {
+            cfg.topology = t;
+        }
+        if let Some(q) = self.queue {
+            cfg.net.queue = q;
+        }
+    }
+}
+
+/// A count flag value ≥ 1.
+fn count(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+}
+
+/// The `--sample=<period>/<window>` grammar.
+fn sample_config(v: &str) -> Result<SampleConfig, &'static str> {
+    let (p, w) = v
+        .trim()
+        .split_once('/')
+        .ok_or("expected <period>/<window>")?;
+    let period = p.trim().parse::<u64>().map_err(|_| "bad period")?;
+    let window = w.trim().parse::<u64>().map_err(|_| "bad window")?;
+    if window == 0 || period <= window {
+        return Err("window must be >= 1 and smaller than the period");
+    }
+    Ok(SampleConfig::new(period, window))
+}
+
+/// The `--traffic=` spec grammar (see [`Cli::traffic`]).
+fn traffic_config(spec: &str) -> Result<TrafficConfig, &'static str> {
+    let spec = spec.trim();
+    let (process, rest) = match spec.strip_prefix("ln") {
+        Some(r) => {
+            let (sigma, rest) = r.split_once(':').ok_or("ln… needs ln<sigma>:<rate>")?;
+            let sigma = sigma.trim().parse().map_err(|_| "bad log-normal sigma")?;
+            (ArrivalKind::LogNormal { sigma }, rest)
+        }
+        None => (ArrivalKind::Poisson, spec),
+    };
+    let (rate, curve) = match rest.split_once('@') {
+        None => (rest, None),
+        Some((r, c)) => {
+            let (amp, period) = c
+                .split_once('/')
+                .ok_or("a curve needs <rate>@<amplitude>/<period>")?;
+            let amplitude = amp.trim().parse().map_err(|_| "bad curve amplitude")?;
+            let period_cycles = period.trim().parse().map_err(|_| "bad curve period")?;
+            if period_cycles == 0 {
+                return Err("curve period must be ≥ 1");
+            }
+            let curve = DiurnalCurve {
+                amplitude,
+                period_cycles,
+            };
+            (r, Some(curve))
+        }
+    };
+    let rate_tpmc: f64 = rate.trim().parse().map_err(|_| "bad rate")?;
+    if rate_tpmc.is_nan() || rate_tpmc <= 0.0 {
+        return Err("rate must be > 0");
+    }
+    Ok(TrafficConfig {
+        rate_tpmc,
+        process,
+        curve,
+        ..TrafficConfig::default()
+    })
+}
+
+/// What [`Cli::install`] set up, kept so the binary can report on it
+/// when it is done.
+#[derive(Debug)]
+pub struct Setup {
+    store: Option<Arc<DiskStore>>,
+}
+
+impl Setup {
+    /// The installed `--store=` store, if any.
+    pub fn store(&self) -> Option<Arc<DiskStore>> {
+        self.store.clone()
     }
 
-    /// Open the store and install it as the process-wide default every
-    /// subsequently built `Harness` picks up
-    /// ([`piranha_serve::install_store`]). Returns the store handle so
-    /// the binary can print [`store_summary`] when it is done; `None`
-    /// when the flag was absent.
-    ///
-    /// Exits the process (status 1) if the directory cannot be created
-    /// — a mistyped `--store=` silently computing everything from
-    /// scratch would defeat the point.
-    pub fn apply(&self) -> Option<std::sync::Arc<piranha_serve::DiskStore>> {
-        let dir = self.dir.as_ref()?;
-        match piranha_serve::install_store(dir) {
-            Ok(store) => Some(store),
+    /// Print the `--store=` summary line to stderr, so diffable stdout
+    /// contracts like `--fingerprints` stay intact: what this process
+    /// computed versus loaded, and how many entries the store now holds.
+    /// The CI `serve-smoke` step greps the `computed 0` of a warm second
+    /// run out of this. Prints nothing without a store.
+    pub fn finish(&self) {
+        if let Some(store) = &self.store {
+            let (computed, store_hits) = piranha_harness::process_counters();
+            eprintln!(
+                "result store {}: computed {computed}, loaded {store_hits}; {} entries on disk",
+                store.dir().display(),
+                store.len(),
+            );
+        }
+    }
+}
+
+/// Transactions per CPU of the traffic and fabric exemplars' bounded
+/// OLTP workload.
+const EXEMPLAR_TXNS: u64 = 20;
+
+/// The configuration the exemplar runs simulate: a two-chip machine of
+/// 4-CPU Piranha chips, so protocol-engine and interconnect activity
+/// shows up in the trace alongside cpu/cache/mem spans.
+pub fn exemplar_config() -> SystemConfig {
+    SystemConfig::piranha_pn(4).scaled_to_chips(2)
+}
+
+/// Run an exemplar variant on bounded OLTP to completion.
+fn run_exemplar(cfg: SystemConfig) -> (RunResult, Machine) {
+    let w = crate::experiments::oltp_bounded(EXEMPLAR_TXNS);
+    run(
+        &RunRequest::new(cfg, w, RunScale::completion()),
+        &RunOptions::default(),
+    )
+}
+
+/// Run whichever exemplar the flags asked for and print its summary:
+/// the probed run of `w` at `scale` (`--trace=`/`--metrics=`), the
+/// open-loop traffic exemplar (`--traffic=`), and the fabric exemplar
+/// (`--topology=`/`--queue=`), in that order. Exits the process
+/// (status 1) if an export file cannot be written.
+pub fn exemplars(cli: &Cli, w: &Workload, scale: RunScale) {
+    if cli.trace.is_some() || cli.metrics.is_some() {
+        match export_probed_run(cli, w, scale) {
+            Ok(summary) => print!("{summary}"),
             Err(e) => {
-                eprintln!("cannot open result store {}: {e}", dir.display());
+                eprintln!("probe export failed: {e}");
                 std::process::exit(1);
             }
         }
     }
-}
-
-/// The `--store=` summary line a figure binary prints (to stderr, so
-/// diffable stdout contracts like `--fingerprints` stay intact) after
-/// its runs: what this process computed versus loaded, and how many
-/// entries the store now holds. The CI `serve-smoke` step greps the
-/// `computed 0` of a warm second run out of this.
-pub fn store_summary(store: &piranha_serve::DiskStore) -> String {
-    let (computed, store_hits) = piranha_harness::process_counters();
-    format!(
-        "result store {}: computed {computed}, loaded {store_hits}; {} entries on disk",
-        store.dir().display(),
-        store.len(),
-    )
-}
-
-/// The sampled-execution flag of a figure binary:
-///
-/// - `--sample=<period>/<window>` — run under SMARTS-style statistical
-///   sampling: functionally fast-forward (caches, TLBs, directories,
-///   and memory stay warm; no detailed timing) between detailed
-///   measurement windows of `window` instructions taken every `period`
-///   instructions per CPU. The result carries a
-///   [`piranha_system::SampleEstimate`] (CPI mean ± 95% CI) instead of
-///   exact figure numbers; golden fingerprints only apply with the
-///   flag absent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SampleCli {
-    /// The parsed `(period, window)` pair, if the flag was given and
-    /// well-formed.
-    pub spec: Option<(u64, u64)>,
-}
-
-impl SampleCli {
-    /// Parse `--sample=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+    if let Some(traffic) = &cli.traffic {
+        print!("{}", traffic_exemplar(traffic));
     }
-
-    /// Parse the flag from an explicit argument list; unrelated
-    /// arguments are ignored, as is a malformed spec (zero values,
-    /// window ≥ period, missing `/`).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = SampleCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--sample=") {
-                cli.spec = v.trim().split_once('/').and_then(|(p, w)| {
-                    let period = p.trim().parse::<u64>().ok()?;
-                    let window = w.trim().parse::<u64>().ok()?;
-                    (window >= 1 && period > window).then_some((period, window))
-                });
-            }
-        }
-        cli
-    }
-
-    /// Whether sampled execution was requested.
-    pub fn active(&self) -> bool {
-        self.spec.is_some()
-    }
-
-    /// Resolve the flag into a [`piranha_system::SampleConfig`], if
-    /// given.
-    pub fn sample_config(&self) -> Option<piranha_system::SampleConfig> {
-        self.spec
-            .map(|(period, window)| piranha_system::SampleConfig::new(period, window))
+    if cli.topology.is_some() || cli.queue.is_some() {
+        print!("{}", fabric_exemplar(cli));
     }
 }
 
-/// The open-loop traffic flags of a figure binary (the `piranha-traffic`
-/// subsystem):
-///
-/// - `--traffic=<spec>` — attach an open-loop arrival process to an
-///   exemplar run. The spec is one of:
-///   - `<rate>` — steady Poisson arrivals at `rate` transactions per
-///     million CPU cycles per core (`--traffic=200`);
-///   - `<rate>@<amplitude>/<period>` — the same rate modulated by a
-///     sinusoidal diurnal curve, swinging ±`amplitude` (fraction) over
-///     `period` cycles (`--traffic=200@0.5/2000000`);
-///   - `ln<sigma>:<rate>[@<amplitude>/<period>]` — log-normal
-///     (burstier) inter-arrivals with shape `sigma` at the same mean
-///     rate (`--traffic=ln0.7:200`);
-/// - `--traffic-depth=<n>` — bounded run-queue depth per core
-///   (default 16);
-/// - `--traffic-defer` — park overflowing arrivals on an unbounded
-///   queue (counted `deferred`) instead of shedding them (`dropped`).
-#[derive(Debug, Clone, Default)]
-pub struct TrafficCli {
-    /// The raw `--traffic=` value, if given.
-    pub traffic: Option<String>,
-    /// The `--traffic-depth=` value, if given and well-formed.
-    pub depth: Option<usize>,
-    /// Whether `--traffic-defer` was given.
-    pub defer: bool,
-}
-
-impl TrafficCli {
-    /// Parse the traffic flags out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = TrafficCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--traffic=") {
-                cli.traffic = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("--traffic-depth=") {
-                cli.depth = v.trim().parse().ok().filter(|&n| n >= 1);
-            } else if a == "--traffic-defer" {
-                cli.defer = true;
-            }
-        }
-        cli
-    }
-
-    /// Whether open-loop traffic was requested.
-    pub fn active(&self) -> bool {
-        self.traffic.is_some()
-    }
-
-    /// Resolve the flags into a [`TrafficConfig`]. No `--traffic=` flag
-    /// → the disabled default (closed-loop execution, golden
-    /// fingerprints intact).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of a malformed spec.
-    pub fn traffic_config(&self) -> Result<TrafficConfig, String> {
-        let Some(spec) = &self.traffic else {
-            return Ok(TrafficConfig::default());
-        };
-        let spec = spec.trim();
-        let (process, rest) = if let Some(r) = spec.strip_prefix("ln") {
-            let (sigma, rest) = r
-                .split_once(':')
-                .ok_or_else(|| format!("--traffic=ln… needs ln<sigma>:<rate>, got {spec:?}"))?;
-            let sigma: f64 = sigma
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad log-normal sigma in --traffic={spec:?}"))?;
-            (ArrivalKind::LogNormal { sigma }, rest)
-        } else {
-            (ArrivalKind::Poisson, spec)
-        };
-        let (rate_str, curve) = match rest.split_once('@') {
-            None => (rest, None),
-            Some((r, c)) => {
-                let (amp, period) = c.split_once('/').ok_or_else(|| {
-                    format!("--traffic curve needs <rate>@<amplitude>/<period>, got {spec:?}")
-                })?;
-                let amplitude: f64 = amp
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad curve amplitude in --traffic={spec:?}"))?;
-                let period_cycles: u64 = period
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad curve period in --traffic={spec:?}"))?;
-                if period_cycles == 0 {
-                    return Err(format!("curve period must be ≥ 1 in --traffic={spec:?}"));
-                }
-                (
-                    r,
-                    Some(DiurnalCurve {
-                        amplitude,
-                        period_cycles,
-                    }),
-                )
-            }
-        };
-        let rate_tpmc: f64 = rate_str
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad rate in --traffic={spec:?}"))?;
-        if rate_tpmc.is_nan() || rate_tpmc <= 0.0 {
-            return Err(format!("--traffic rate must be > 0, got {spec:?}"));
-        }
-        let mut cfg = TrafficConfig {
-            rate_tpmc,
-            process,
-            curve,
-            ..TrafficConfig::default()
-        };
-        if let Some(d) = self.depth {
-            cfg.queue_depth = d;
-        }
-        if self.defer {
-            cfg.overflow = OverflowPolicy::Defer;
-        }
-        Ok(cfg)
-    }
-}
-
-/// Run the traffic-loaded exemplar (the two-chip [`exemplar_config`]
-/// under a bounded OLTP workload, run to completion) and render its
-/// tail-latency summary for the binary to print.
-///
-/// # Errors
-///
-/// Returns the parse error of a malformed `--traffic=` spec.
-pub fn run_traffic_exemplar(cli: &TrafficCli, txns_per_cpu: u64) -> Result<String, String> {
-    let traffic = cli.traffic_config()?;
-    let cfg = exemplar_config();
+/// Run the exemplar under a bounded OLTP workload to completion with
+/// `traffic` attached and render its tail-latency summary.
+fn traffic_exemplar(traffic: &TrafficConfig) -> String {
+    let mut cfg = exemplar_config();
+    cfg.traffic = traffic.clone();
     let name = cfg.name.clone();
-    let w = Workload::Oltp(piranha_workloads::OltpConfig {
-        txn_limit: txns_per_cpu,
-        ..piranha_workloads::OltpConfig::paper_default()
-    });
-    let r = piranha_harness::run_config_traffic(cfg, &w, RunScale::completion(), traffic.clone());
+    let (r, _) = run_exemplar(cfg);
     let t = r.traffic.as_ref().expect("traffic was enabled");
-    Ok(format!(
+    format!(
         "Open-loop exemplar: {name} @ {} tpmc ({:?})\n\
          txn latency p50 {} ns, p95 {} ns, p99 {} ns\n\
          offered {}, accepted {}, completed {}, dropped {} ({:.2}% drop), deferred {}\n",
@@ -462,116 +429,20 @@ pub fn run_traffic_exemplar(cli: &TrafficCli, txns_per_cpu: u64) -> Result<Strin
         t.ledger.dropped,
         t.ledger.drop_rate() * 100.0,
         t.ledger.deferred,
-    ))
+    )
 }
 
-/// The fabric-override flags of a figure binary (the pluggable
-/// interconnect of `piranha-net`):
-///
-/// - `--topology=<ring|mesh|torus|fattree>` — replace the automatic
-///   paper layout with an explicit fabric shape;
-/// - `--queue=<droptail|lossy|pfc>` — bound every output port at the
-///   congested capacity
-///   ([`piranha_net::CONGESTED_CAPACITY_NS`]) and select its overflow
-///   behaviour (the default fabric is lossless unbounded drop-tail).
-///
-/// Golden fingerprints only apply with both flags absent. In
-/// `fig_scale` the flags *narrow the sweep* to the named shape and
-/// discipline instead of overriding a single configuration.
-#[derive(Debug, Clone, Default)]
-pub struct FabricCli {
-    /// The raw `--topology=` value, if given.
-    pub topology: Option<String>,
-    /// The raw `--queue=` value, if given.
-    pub queue: Option<String>,
-}
-
-impl FabricCli {
-    /// Parse `--topology=`/`--queue=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = FabricCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--topology=") {
-                cli.topology = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("--queue=") {
-                cli.queue = Some(v.to_string());
-            }
-        }
-        cli
-    }
-
-    /// Whether any fabric override was requested.
-    pub fn active(&self) -> bool {
-        self.topology.is_some() || self.queue.is_some()
-    }
-
-    /// Resolve the raw flag values.
-    ///
-    /// # Errors
-    ///
-    /// Reports an unrecognized topology or queue spelling instead of
-    /// silently falling back to the defaults.
-    pub fn resolve(&self) -> Result<(Option<TopologyKind>, Option<QueueDiscipline>), String> {
-        let topo = match &self.topology {
-            None => None,
-            Some(s) => Some(TopologyKind::parse(s).ok_or_else(|| {
-                format!("unknown topology {s:?} (expected ring|mesh|torus|fattree)")
-            })?),
-        };
-        let queue = match &self.queue {
-            None => None,
-            Some(s) => Some(QueueDiscipline::parse(s).ok_or_else(|| {
-                format!("unknown queue discipline {s:?} (expected droptail|lossy|pfc)")
-            })?),
-        };
-        Ok((topo, queue))
-    }
-
-    /// Apply the overrides to a system configuration (a no-op for
-    /// absent flags).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FabricCli::resolve`] errors.
-    pub fn apply(&self, cfg: &mut SystemConfig) -> Result<(), String> {
-        let (topo, queue) = self.resolve()?;
-        if let Some(t) = topo {
-            cfg.topology = t;
-        }
-        if let Some(q) = queue {
-            cfg.net.queue = q;
-        }
-        Ok(())
-    }
-}
-
-/// Run the two-chip exemplar under the fabric overrides of `cli` on a
-/// bounded OLTP workload and summarize its fabric counters — the
-/// `--topology=`/`--queue=` rider of `fig7`/`fig8`.
-///
-/// # Errors
-///
-/// Propagates [`FabricCli::resolve`] errors.
-pub fn run_fabric_exemplar(cli: &FabricCli, txns_per_cpu: u64) -> Result<String, String> {
+/// Run the exemplar on the fabric overrides of `cli` under a bounded
+/// OLTP workload and summarize its fabric counters.
+fn fabric_exemplar(cli: &Cli) -> String {
     let mut cfg = exemplar_config();
-    cli.apply(&mut cfg)?;
+    cli.apply_fabric(&mut cfg);
     let name = cfg.name.clone();
     let (topo, queue) = (cfg.topology, cfg.net.queue);
-    let w = Workload::Oltp(piranha_workloads::OltpConfig {
-        txn_limit: txns_per_cpu,
-        ..piranha_workloads::OltpConfig::paper_default()
-    });
-    let workers = piranha_harness::node_workers();
-    let (r, m) = run_config_parallel_machine(cfg, &w, RunScale::completion(), workers);
+    let (r, m) = run_exemplar(cfg);
     let fs = m.fabric_stats();
     let elapsed = m.now().since(piranha_types::SimTime::ZERO);
-    Ok(format!(
+    format!(
         "Fabric exemplar: {name} on {} ({} queue)\n\
          committed {} txns; fabric delivered {} pkts (mean {:.2} hops), \
          {} deflections, {} drops, {} pauses, {} retransmits\n\
@@ -587,14 +458,7 @@ pub fn run_fabric_exemplar(cli: &FabricCli, txns_per_cpu: u64) -> Result<String,
         fs.retransmits,
         fs.links,
         fs.occupancy(elapsed) * 100.0,
-    ))
-}
-
-/// The configuration the probed exemplar run simulates: a two-chip
-/// machine of 4-CPU Piranha chips, so protocol-engine and interconnect
-/// activity shows up in the trace alongside cpu/cache/mem spans.
-pub fn exemplar_config() -> SystemConfig {
-    SystemConfig::piranha_pn(4).scaled_to_chips(2)
+    )
 }
 
 /// Run the probed exemplar and write whatever `cli` asked for. Returns
@@ -604,7 +468,7 @@ pub fn exemplar_config() -> SystemConfig {
 /// # Errors
 ///
 /// Propagates I/O errors from writing the export files.
-pub fn export_probed_run(cli: &ProbeCli, w: &Workload, scale: RunScale) -> std::io::Result<String> {
+pub fn export_probed_run(cli: &Cli, w: &Workload, scale: RunScale) -> std::io::Result<String> {
     let level = if cli.trace.is_some() {
         TraceLevel::Spans
     } else {
@@ -612,7 +476,12 @@ pub fn export_probed_run(cli: &ProbeCli, w: &Workload, scale: RunScale) -> std::
     };
     let cfg = exemplar_config();
     let name = cfg.name.clone();
-    let (r, probe) = run_config_probed(cfg, w, scale, ProbeConfig::with_level(level));
+    let probe = Probe::new(ProbeConfig::with_level(level));
+    let opts = RunOptions {
+        probe: Some(probe.clone()),
+        ..RunOptions::default()
+    };
+    let (r, _) = run(&RunRequest::new(cfg, w.clone(), scale), &opts);
 
     let mut out = format!("Probed exemplar run: {name}\n");
     if let Some(path) = &cli.trace {
@@ -811,17 +680,202 @@ mod tests {
 
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn parse(v: &[&str]) -> Result<Cli, String> {
+        Cli::parse(v.iter().map(|s| s.to_string()))
+    }
+
+    type Check = fn(&Cli) -> bool;
+
+    /// Every accepted spelling with what it must parse to. Each family
+    /// test below checks the rows of its flags.
+    const ACCEPTED: &[(&[&str], Check)] = &[
+        (&["--quick"], |c| {
+            c.quick && c.trace.is_none() && c.metrics.is_none() && c.scale() == RunScale::quick()
+        }),
+        (&["--fingerprints"], |c| c.fingerprints),
+        (&["--check"], |c| c.check && c.scale() == RunScale::full()),
+        (&["--trace=t.json", "--quick"], |c| {
+            c.trace.as_deref() == Some(Path::new("t.json"))
+        }),
+        (&["--metrics=m.csv"], |c| {
+            c.metrics.as_deref() == Some(Path::new("m.csv"))
+        }),
+        (&["--addr=127.0.0.1:7654"], |c| {
+            c.addr.as_deref() == Some("127.0.0.1:7654")
+        }),
+        (&["--store=/tmp/results", "--quick"], |c| {
+            c.store.as_deref() == Some(Path::new("/tmp/results"))
+        }),
+        (&["--parallel=4", "--quick"], |c| c.parallel == Some(4)),
+        (&["--parallel= 2 "], |c| c.parallel == Some(2)),
+        (&["--sample=10000/1000", "--quick"], |c| {
+            c.sample.as_ref().map(|s| (s.period, s.window)) == Some((10_000, 1_000))
+        }),
+        // A bare rate is steady Poisson.
+        (&["--traffic=200"], |c| {
+            c.traffic.as_ref().is_some_and(|t| {
+                t.enabled()
+                    && t.rate_tpmc == 200.0
+                    && t.process == ArrivalKind::Poisson
+                    && t.curve.is_none()
+            })
+        }),
+        // rate@amplitude/period adds a diurnal curve.
+        (&["--traffic=150@0.5/2000000"], |c| {
+            c.traffic.as_ref().and_then(|t| t.curve)
+                == Some(DiurnalCurve {
+                    amplitude: 0.5,
+                    period_cycles: 2_000_000,
+                })
+        }),
+        // ln<sigma>:<rate> selects log-normal inter-arrivals.
+        (&["--traffic=ln0.7:300"], |c| {
+            c.traffic.as_ref().is_some_and(|t| {
+                t.process == ArrivalKind::LogNormal { sigma: 0.7 } && t.rate_tpmc == 300.0
+            })
+        }),
+        // Depth and overflow-policy flags apply, in any order.
+        (
+            &["--traffic-defer", "--traffic-depth=4", "--traffic=100"],
+            |c| {
+                c.traffic
+                    .as_ref()
+                    .is_some_and(|t| t.queue_depth == 4 && t.overflow == OverflowPolicy::Defer)
+            },
+        ),
+        // No fabric flags: the config keeps its (golden) defaults.
+        (&["--quick"], |c| {
+            let mut cfg = exemplar_config();
+            c.apply_fabric(&mut cfg);
+            cfg.topology == TopologyKind::Auto && cfg.net.queue == QueueDiscipline::unbounded()
+        }),
+        // Both fabric flags apply; the queue comes back bounded.
+        (&["--topology=torus", "--queue=pfc"], |c| {
+            let mut cfg = exemplar_config();
+            c.apply_fabric(&mut cfg);
+            cfg.topology == TopologyKind::Torus
+                && cfg.net.queue.label() == "pfc"
+                && cfg.net.queue.capacity() < QueueDiscipline::unbounded().capacity()
+        }),
+        // A numeric --faults= seeds a random schedule at the given rate.
+        (&["--faults=42", "--fault-rate=1e-3"], |c| {
+            c.faults
+                .as_ref()
+                .is_some_and(|f| f.seed == 42 && f.rate == 1e-3 && f.enabled())
+        }),
+        // --fault-rate= alone uses the default seed.
+        (&["--fault-rate=5e-4"], |c| {
+            c.faults.as_ref().is_some_and(|f| f.seed == 42)
+        }),
+        // A non-numeric --faults= parses as a script.
+        (&["--faults=corrupt@50, flip2@300"], |c| {
+            c.faults
+                .as_ref()
+                .is_some_and(|f| f.script.len() == 2 && f.enabled())
+        }),
+    ];
+
+    /// Malformed values and unknown flags: each must be an error naming
+    /// the argument, never a silently ignored flag.
+    const REJECTED: &[&str] = &[
+        "--parallel=0",
+        "--parallel=x",
+        "--parallel=-1",
+        "--parallel=2.5",
+        "--parallel",
+        "--sample=500/1000",
+        "--sample=1000",
+        "--sample=0/0",
+        "--sample=a/b",
+        "--fault-rate=x",
+        "--fault-rate=-1",
+        "--fault-rate=NaN",
+        "--faults=bogus@@",
+        "--traffic-depth=0",
+        "--traffic=bogus",
+        "--traffic=0",
+        "--traffic=-5",
+        "--traffic=ln:100",
+        "--traffic=ln0.7",
+        "--traffic=100@0.5",
+        "--traffic=100@x/10",
+        "--traffic=100@0.5/0",
+        "--topology=hypercube",
+        "--queue=wormhole",
+        "--store=",
+        "--paralel=2",
+        "--metric=m.csv",
+        "--quick=1",
+        "full",
+    ];
+
+    /// Check the rows of [`ACCEPTED`] and [`REJECTED`] whose first
+    /// argument belongs to one of `families`.
+    fn check_family(families: &[&str]) {
+        let ours =
+            |arg: Option<&&str>| arg.is_some_and(|a| families.iter().any(|f| a.starts_with(f)));
+        let rows = ACCEPTED.iter().filter(|(args, _)| ours(args.first()));
+        assert!(
+            rows.clone().count() > 0,
+            "no accepted rows for {families:?}"
+        );
+        for (args, want) in rows {
+            let cli = parse(args).unwrap_or_else(|e| panic!("{args:?} should parse: {e}"));
+            assert!(want(&cli), "{args:?} parsed to {cli:?}");
+        }
+        for bad in REJECTED.iter().filter(|b| ours(Some(b))) {
+            assert!(parse(&[bad]).is_err(), "{bad} should be rejected");
+        }
     }
 
     #[test]
     fn parses_flags_and_ignores_the_rest() {
-        let cli = ProbeCli::parse(args(&["--quick", "--trace=t.json", "--metrics=m.csv"]));
-        assert_eq!(cli.trace.as_deref(), Some(Path::new("t.json")));
-        assert_eq!(cli.metrics.as_deref(), Some(Path::new("m.csv")));
-        assert!(cli.active());
-        assert!(!ProbeCli::parse(args(&["--quick"])).active());
+        check_family(&[
+            "--quick",
+            "--fingerprints",
+            "--check",
+            "--trace",
+            "--metrics",
+            "--addr",
+        ]);
+    }
+
+    #[test]
+    fn store_flag_parses_and_ignores_the_rest() {
+        check_family(&["--store"]);
+    }
+
+    #[test]
+    fn parallel_flag_parses_and_rejects_nonsense() {
+        check_family(&["--parallel"]);
+    }
+
+    #[test]
+    fn sample_flag_parses_and_rejects_nonsense() {
+        check_family(&["--sample"]);
+    }
+
+    #[test]
+    fn traffic_flags_resolve_to_configs() {
+        check_family(&["--traffic"]);
+    }
+
+    #[test]
+    fn fabric_flags_resolve_to_overrides() {
+        check_family(&["--topology", "--quick"]);
+    }
+
+    #[test]
+    fn fault_flags_resolve_to_configs() {
+        check_family(&["--fault"]);
+    }
+
+    #[test]
+    fn bad_flags_are_rejected_naming_the_flag() {
+        for bad in REJECTED {
+            let e = parse(&["--quick", bad]).expect_err(bad);
+            assert!(e.contains(bad), "error for {bad} must name it: {e}");
+        }
     }
 
     #[test]
@@ -830,14 +884,6 @@ mod tests {
         assert!(json::is_json(Path::new("out.JSON")));
         assert!(!json::is_json(Path::new("out.csv")));
         assert!(!json::is_json(Path::new("out")));
-    }
-
-    #[test]
-    fn store_flag_parses_and_ignores_the_rest() {
-        assert!(!StoreCli::parse(args(&["--quick"])).active());
-        let cli = StoreCli::parse(args(&["--quick", "--store=/tmp/results"]));
-        assert_eq!(cli.dir.as_deref(), Some(Path::new("/tmp/results")));
-        assert!(cli.active());
     }
 
     #[test]
@@ -877,144 +923,5 @@ mod tests {
     fn exemplar_is_multichip() {
         let cfg = exemplar_config();
         assert!(cfg.nodes >= 2, "protocol/net spans need >1 chip");
-    }
-
-    #[test]
-    fn parallel_flag_parses_and_rejects_nonsense() {
-        assert_eq!(ParallelCli::parse(args(&["--quick"])).workers, None);
-        assert_eq!(
-            ParallelCli::parse(args(&["--parallel=4", "--quick"])).workers,
-            Some(4)
-        );
-        assert_eq!(ParallelCli::parse(args(&["--parallel=0"])).workers, None);
-        assert_eq!(
-            ParallelCli::parse(args(&["--parallel=bogus"])).workers,
-            None
-        );
-    }
-
-    #[test]
-    fn sample_flag_parses_and_rejects_nonsense() {
-        assert_eq!(SampleCli::parse(args(&["--quick"])).spec, None);
-        let ok = SampleCli::parse(args(&["--sample=10000/1000", "--quick"]));
-        assert_eq!(ok.spec, Some((10_000, 1_000)));
-        assert!(ok.active());
-        let cfg = ok.sample_config().unwrap();
-        assert_eq!((cfg.period, cfg.window), (10_000, 1_000));
-        // Malformed specs are ignored, not half-parsed.
-        assert_eq!(SampleCli::parse(args(&["--sample=1000"])).spec, None);
-        assert_eq!(SampleCli::parse(args(&["--sample=0/0"])).spec, None);
-        assert_eq!(
-            SampleCli::parse(args(&["--sample=500/1000"])).spec,
-            None,
-            "window must be smaller than the period"
-        );
-        assert_eq!(SampleCli::parse(args(&["--sample=a/b"])).spec, None);
-    }
-
-    #[test]
-    fn traffic_flags_resolve_to_configs() {
-        // No flags: traffic stays disabled and fingerprints intact.
-        let off = TrafficCli::parse(args(&["--quick"]));
-        assert!(!off.active());
-        assert!(!off.traffic_config().unwrap().enabled());
-        // A bare rate is steady Poisson.
-        let p = TrafficCli::parse(args(&["--traffic=200"]));
-        let cfg = p.traffic_config().unwrap();
-        assert!(cfg.enabled());
-        assert!((cfg.rate_tpmc - 200.0).abs() < 1e-12);
-        assert_eq!(cfg.process, ArrivalKind::Poisson);
-        assert!(cfg.curve.is_none());
-        // rate@amplitude/period adds a diurnal curve.
-        let c = TrafficCli::parse(args(&["--traffic=150@0.5/2000000"]));
-        let cfg = c.traffic_config().unwrap();
-        assert_eq!(
-            cfg.curve,
-            Some(DiurnalCurve {
-                amplitude: 0.5,
-                period_cycles: 2_000_000
-            })
-        );
-        // ln<sigma>:<rate> selects log-normal inter-arrivals.
-        let ln = TrafficCli::parse(args(&["--traffic=ln0.7:300"]));
-        let cfg = ln.traffic_config().unwrap();
-        assert_eq!(cfg.process, ArrivalKind::LogNormal { sigma: 0.7 });
-        assert!((cfg.rate_tpmc - 300.0).abs() < 1e-12);
-        // Depth and overflow-policy riders apply.
-        let full = TrafficCli::parse(args(&[
-            "--traffic=100",
-            "--traffic-depth=4",
-            "--traffic-defer",
-        ]));
-        let cfg = full.traffic_config().unwrap();
-        assert_eq!(cfg.queue_depth, 4);
-        assert_eq!(cfg.overflow, OverflowPolicy::Defer);
-        // Malformed specs are reported, not swallowed.
-        for bad in [
-            "--traffic=bogus",
-            "--traffic=0",
-            "--traffic=-5",
-            "--traffic=ln:100",
-            "--traffic=ln0.7",
-            "--traffic=100@0.5",
-            "--traffic=100@x/10",
-            "--traffic=100@0.5/0",
-        ] {
-            assert!(
-                TrafficCli::parse(args(&[bad])).traffic_config().is_err(),
-                "{bad} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn fabric_flags_resolve_to_overrides() {
-        // No flags: the config keeps its (golden) defaults.
-        let off = FabricCli::parse(args(&["--quick"]));
-        assert!(!off.active());
-        let mut cfg = exemplar_config();
-        off.apply(&mut cfg).unwrap();
-        assert_eq!(cfg.topology, TopologyKind::Auto);
-        assert_eq!(cfg.net.queue, QueueDiscipline::unbounded());
-        // Both riders apply; the queue comes back bounded.
-        let cli = FabricCli::parse(args(&["--topology=torus", "--queue=pfc", "--quick"]));
-        assert!(cli.active());
-        cli.apply(&mut cfg).unwrap();
-        assert_eq!(cfg.topology, TopologyKind::Torus);
-        assert_eq!(cfg.net.queue.label(), "pfc");
-        assert!(cfg.net.queue.capacity() < QueueDiscipline::unbounded().capacity());
-        // Malformed values are reported, not swallowed.
-        assert!(FabricCli::parse(args(&["--topology=hypercube"]))
-            .resolve()
-            .is_err());
-        assert!(FabricCli::parse(args(&["--queue=wormhole"]))
-            .resolve()
-            .is_err());
-    }
-
-    #[test]
-    fn fault_flags_resolve_to_configs() {
-        // No flags: injection stays disabled.
-        let off = FaultCli::parse(args(&["--quick"]));
-        assert!(!off.active());
-        assert!(!off.fault_config().unwrap().enabled());
-        // Numeric --faults= seeds a random schedule at the given rate.
-        let seeded = FaultCli::parse(args(&["--faults=42", "--fault-rate=1e-3"]));
-        let cfg = seeded.fault_config().unwrap();
-        assert_eq!(cfg.seed, 42);
-        assert!((cfg.rate - 1e-3).abs() < 1e-12);
-        assert!(cfg.enabled());
-        // --fault-rate= alone uses the default seed.
-        let rate_only = FaultCli::parse(args(&["--fault-rate=5e-4"]));
-        assert_eq!(rate_only.fault_config().unwrap().seed, 42);
-        // Non-numeric --faults= parses as a script.
-        let scripted = FaultCli::parse(args(&["--faults=corrupt@50, flip2@300"]));
-        let cfg = scripted.fault_config().unwrap();
-        assert_eq!(cfg.script.len(), 2);
-        assert!(cfg.enabled());
-        // Malformed scripts are reported, not swallowed.
-        assert!(FaultCli::parse(args(&["--faults=bogus@@"]))
-            .fault_config()
-            .is_err());
     }
 }

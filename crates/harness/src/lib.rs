@@ -41,7 +41,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use piranha_system::{Machine, Probe, ProbeConfig, RunResult, SystemConfig};
+use piranha_system::{Machine, Probe, RunResult, SampleConfig, SystemConfig};
 use piranha_workloads::Workload;
 
 /// A persistent backing store for memoized results, keyed by
@@ -51,7 +51,7 @@ use piranha_workloads::Workload;
 /// the dependency graph.
 ///
 /// Contract: `load(key)` returns a result **bit-identical** to what
-/// `run_config` would produce for the tuple behind `key`, or `None`
+/// [`run`] would produce for the tuple behind `key`, or `None`
 /// (missing, corrupt, or written by an incompatible build — the store
 /// must reject rather than serve those). `save` must tolerate concurrent
 /// writers of the same key: the simulator is deterministic, so
@@ -275,7 +275,7 @@ impl RunScale {
     }
 
     /// Huge runs, a tier beyond [`RunScale::full`] — affordable only
-    /// under sampled execution ([`run_config_sampled`]), where the
+    /// under sampled execution ([`RunOptions::sample`]), where the
     /// detailed model covers a small fraction of the instructions.
     pub fn huge() -> Self {
         RunScale {
@@ -286,57 +286,50 @@ impl RunScale {
     }
 }
 
-/// Drive a built machine for `scale`: either a warmup+measure window or
-/// a run to stream completion. Shared by [`run_config`] and
-/// [`run_config_probed`] so the two paths cannot drift apart. Applies
-/// the process-wide [`node_workers`] setting, which changes wall-clock
-/// only — multi-chip results are bit-identical at every worker count.
-fn drive(m: &mut Machine, scale: RunScale) -> RunResult {
-    m.set_parallel_workers(node_workers());
-    if scale.to_completion {
-        m.run_to_completion()
-    } else {
-        m.run(scale.warmup, scale.measure)
+/// How to execute one request. None of these settings changes the
+/// simulated result of a full-detail run; they pick the engine width,
+/// attach observation, or switch to sampled execution. Traffic, faults
+/// and the fabric are *not* options: they are [`SystemConfig`] fields,
+/// part of the [`cache_key`], and set on `req.cfg` directly.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// Lane-worker threads for a multi-chip machine; `None` uses the
+    /// process-wide [`node_workers`]. Multi-chip results are
+    /// bit-identical at every worker count; only wall-clock changes.
+    pub workers: Option<usize>,
+    /// Attach this observability probe. The probe never feeds back into
+    /// the simulation, so the fingerprint equals an unprobed run's; the
+    /// caller keeps its own clone or reads [`Machine::probe`] to export
+    /// the trace and metrics.
+    pub probe: Option<Probe>,
+    /// Run under SMARTS-style sampling: the machine functionally
+    /// fast-forwards between detailed measurement windows and the result
+    /// carries a [`piranha_system::SampleEstimate`] in `RunResult::sample`.
+    /// The scale maps to the instruction budget: `to_completion` runs
+    /// every stream to its end, otherwise the run is bounded at
+    /// `warmup + measure` instructions per CPU (sampling warms up via
+    /// `sample.warmup`).
+    pub sample: Option<SampleConfig>,
+}
+
+/// Run one request on the calling thread (multi-chip machines
+/// additionally use lane threads inside the run) and return the
+/// measured result together with the machine, for callers that need
+/// lifetime state the result cannot carry: the final simulated time,
+/// the fabric and parallel-engine counters, the probe. This is the
+/// primitive everything else schedules.
+pub fn run(req: &RunRequest, opts: &RunOptions) -> (RunResult, Machine) {
+    let mut m = Machine::new(req.cfg.clone(), &req.workload);
+    m.set_parallel_workers(opts.workers.unwrap_or_else(node_workers));
+    if let Some(probe) = &opts.probe {
+        m.set_probe(probe.clone());
     }
-}
-
-/// Run one configuration against one workload on the calling thread
-/// (multi-chip machines additionally use [`node_workers`] lane threads
-/// inside the run). This is the primitive everything else schedules.
-pub fn run_config(cfg: SystemConfig, w: &Workload, scale: RunScale) -> RunResult {
-    let mut m = Machine::new(cfg, w);
-    drive(&mut m, scale)
-}
-
-/// Like [`run_config`] with an explicit per-machine lane-worker count,
-/// bypassing the process-wide [`node_workers`] setting. Bit-identical
-/// to `run_config` of the same tuple at any `workers` value.
-pub fn run_config_parallel(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    workers: usize,
-) -> RunResult {
-    run_config_parallel_machine(cfg, w, scale, workers).0
-}
-
-/// [`run_config_parallel`] returning the machine too, for callers that
-/// need lifetime state the measured-window [`RunResult`] cannot carry —
-/// the final simulated time, the parallel-engine counters
-/// (`Machine::parsim_stats`), the lookahead matrix. Used by the
-/// `parsim_speedup` bench to report rounds per simulated microsecond.
-pub fn run_config_parallel_machine(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    workers: usize,
-) -> (RunResult, Machine) {
-    let mut m = Machine::new(cfg, w);
-    m.set_parallel_workers(workers);
-    let r = if scale.to_completion {
-        m.run_to_completion()
-    } else {
-        m.run(scale.warmup, scale.measure)
+    let scale = req.scale;
+    let r = match (&opts.sample, scale.to_completion) {
+        (Some(sample), true) => m.run_sampled(sample, None),
+        (Some(sample), false) => m.run_sampled(sample, Some(scale.warmup + scale.measure)),
+        (None, true) => m.run_to_completion(),
+        (None, false) => m.run(scale.warmup, scale.measure),
     };
     (r, m)
 }
@@ -359,7 +352,7 @@ pub fn node_workers() -> usize {
     NODE_WORKERS.load(Ordering::Relaxed).max(1)
 }
 
-/// Process-wide provenance tally, summed over every `Harness` in the
+/// Process-wide provenance tally, summed over every resolution in the
 /// process. The figure binaries build many short-lived harnesses
 /// internally; these counters let `--store=` report one summary line
 /// (and let CI assert a warm store recomputes nothing) without
@@ -367,10 +360,10 @@ pub fn node_workers() -> usize {
 static PROCESS_COMPUTED: AtomicUsize = AtomicUsize::new(0);
 static PROCESS_STORE_HITS: AtomicUsize = AtomicUsize::new(0);
 
-/// `(computed, store_hits)` summed across every harness resolution in
-/// this process: simulations actually executed versus results served
-/// from the persistent [`ResultStore`]. In-memory cache hits are not
-/// counted (they cost nothing and would dwarf the interesting numbers).
+/// `(computed, store_hits)` summed across every [`resolve`] in this
+/// process: simulations actually executed versus results served from
+/// the persistent [`ResultStore`]. In-memory cache hits are not counted
+/// (they cost nothing and would dwarf the interesting numbers).
 pub fn process_counters() -> (usize, usize) {
     (
         PROCESS_COMPUTED.load(Ordering::Relaxed),
@@ -378,70 +371,32 @@ pub fn process_counters() -> (usize, usize) {
     )
 }
 
-/// Like [`run_config`], but with an observability probe attached per
-/// `probe_cfg`. Returns the result *and* the probe, whose trace buffer
-/// and metric registry the caller can export (Chrome JSON, CSV).
-///
-/// The probe never feeds back into the simulation, so the `RunResult`
-/// fingerprint is bit-identical to an unprobed [`run_config`] of the
-/// same tuple — the determinism guard test asserts this.
-pub fn run_config_probed(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    probe_cfg: ProbeConfig,
-) -> (RunResult, Probe) {
-    let mut m = Machine::new(cfg, w);
-    let probe = Probe::new(probe_cfg);
-    m.set_probe(probe.clone());
-    let r = drive(&mut m, scale);
-    (r, probe)
-}
-
-/// Like [`run_config`], but under SMARTS-style sampled execution: the
-/// machine functionally fast-forwards between detailed measurement
-/// windows per `sample`, and the returned result carries a
-/// [`piranha_system::SampleEstimate`] in `RunResult::sample`.
-///
-/// The scale maps as in [`run_config`]: `to_completion` runs every
-/// stream to its end (sampling handles `scale.warmup` implicitly via
-/// `sample.warmup`, so only the budget is taken from the scale);
-/// otherwise the run is bounded at `warmup + measure` instructions per
-/// CPU.
-pub fn run_config_sampled(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    sample: &piranha_system::SampleConfig,
-) -> RunResult {
-    let mut m = Machine::new(cfg, w);
-    m.set_parallel_workers(node_workers());
-    let budget = if scale.to_completion {
-        None
-    } else {
-        Some(scale.warmup + scale.measure)
-    };
-    m.run_sampled(sample, budget)
-}
-
-/// Like [`run_config`], but with an open-loop traffic plane attached:
-/// `traffic` replaces `cfg.traffic` before the run, so transactions are
-/// admitted by the arrival process instead of back-to-back, and the
-/// returned result carries a [`piranha_system::TrafficSummary`] in
-/// `RunResult::traffic` (offered/accepted/dropped ledger plus the
-/// transaction-latency histogram).
-///
-/// Because `TrafficConfig` is part of [`SystemConfig`], the memoizing
-/// harness distinguishes runs at different offered loads automatically —
-/// [`cache_key`] covers every traffic field.
-pub fn run_config_traffic(
-    mut cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    traffic: piranha_system::TrafficConfig,
-) -> RunResult {
-    cfg.traffic = traffic;
-    run_config(cfg, w, scale)
+/// Resolve one request through the cache/store/compute stack: ready
+/// cache entry → persistent store → simulate (and persist). Blocks if
+/// the key is in flight elsewhere, so a duplicate submission is
+/// idempotent. [`Harness`] and the experiment server both resolve
+/// through here and keep their own per-[`Provenance`] counters.
+pub fn resolve(
+    cache: &SharedCache,
+    store: Option<&dyn ResultStore>,
+    req: &RunRequest,
+) -> (Arc<RunResult>, Provenance) {
+    let key = req.key();
+    match cache.claim(&key) {
+        Claim::Ready(r) => (r, Provenance::Memory),
+        Claim::Owed(guard) => {
+            if let Some(r) = store.and_then(|s| s.load(&key)) {
+                PROCESS_STORE_HITS.fetch_add(1, Ordering::Relaxed);
+                return (guard.fulfill(r), Provenance::Store);
+            }
+            let (r, _) = run(req, &RunOptions::default());
+            if let Some(s) = store {
+                s.save(&key, &r);
+            }
+            PROCESS_COMPUTED.fetch_add(1, Ordering::Relaxed);
+            (guard.fulfill(r), Provenance::Computed)
+        }
+    }
 }
 
 /// The lane-worker threads one request will *actually* spawn, as opposed
@@ -677,26 +632,8 @@ impl Harness {
         self.store_hits
     }
 
-    /// Resolve one request through the cache/store/compute stack:
-    /// ready cache entry → persistent store → simulate. Blocks if the
-    /// key is in flight elsewhere (idempotent duplicate submission).
     fn resolve(&self, req: &RunRequest) -> (Arc<RunResult>, Provenance) {
-        let key = req.key();
-        match self.cache.claim(&key) {
-            Claim::Ready(r) => (r, Provenance::Memory),
-            Claim::Owed(guard) => {
-                if let Some(r) = self.store.as_ref().and_then(|s| s.load(&key)) {
-                    PROCESS_STORE_HITS.fetch_add(1, Ordering::Relaxed);
-                    return (guard.fulfill(r), Provenance::Store);
-                }
-                let r = run_config(req.cfg.clone(), &req.workload, req.scale);
-                if let Some(s) = &self.store {
-                    s.save(&key, &r);
-                }
-                PROCESS_COMPUTED.fetch_add(1, Ordering::Relaxed);
-                (guard.fulfill(r), Provenance::Computed)
-            }
-        }
+        resolve(&self.cache, self.store.as_deref(), req)
     }
 
     /// Execute every request of `plan` that is not already cached,
@@ -877,8 +814,13 @@ mod tests {
     #[test]
     fn lane_workers_do_not_change_multichip_results() {
         let cfg = tiny_cfg("MC", 2).scaled_to_chips(2);
-        let serial = run_config_parallel(cfg.clone(), &synth(), RunScale::tiny(), 1);
-        let threaded = run_config_parallel(cfg, &synth(), RunScale::tiny(), 2);
+        let req = RunRequest::new(cfg, synth(), RunScale::tiny());
+        let on = |n| RunOptions {
+            workers: Some(n),
+            ..RunOptions::default()
+        };
+        let (serial, _) = run(&req, &on(1));
+        let (threaded, _) = run(&req, &on(2));
         assert_eq!(serial.fingerprint(), threaded.fingerprint());
         assert_eq!(serial.window, threaded.window);
         assert_eq!(serial.total_instrs(), threaded.total_instrs());
@@ -900,7 +842,11 @@ mod tests {
             measure: 20_000,
             to_completion: false,
         };
-        let r = run_config_sampled(tiny_cfg("S", 2), &synth(), scale, &sample);
+        let opts = RunOptions {
+            sample: Some(sample),
+            ..RunOptions::default()
+        };
+        let (r, _) = run(&RunRequest::new(tiny_cfg("S", 2), synth(), scale), &opts);
         let est = r.sample.as_ref().expect("sampled run carries estimate");
         assert!(est.windows >= 3);
         assert!(est.cpi_mean > 0.0);
@@ -917,19 +863,16 @@ mod tests {
             ..piranha_workloads::OltpConfig::paper_default()
         };
         let w = Workload::Oltp(oltp);
-        let traffic = piranha_system::TrafficConfig::poisson(200.0);
-        let r = run_config_traffic(cfg.clone(), &w, RunScale::completion(), traffic.clone());
+        let mut loaded = cfg.clone();
+        loaded.traffic = piranha_system::TrafficConfig::poisson(200.0);
+        let req = RunRequest::new(loaded, w.clone(), RunScale::completion());
+        let (r, _) = run(&req, &RunOptions::default());
         let t = r.traffic.as_ref().expect("traffic summary present");
         assert!(t.ledger.conserved(), "ledger: {:?}", t.ledger);
         assert_eq!(t.ledger.completed, 20, "both cores drained their limit");
         // The traffic config is part of the cache key, so loaded and
         // unloaded runs of the same (cfg, workload, scale) never collide.
-        let mut loaded = cfg.clone();
-        loaded.traffic = traffic;
-        assert_ne!(
-            cache_key(&cfg, &w, RunScale::completion()),
-            cache_key(&loaded, &w, RunScale::completion())
-        );
+        assert_ne!(cache_key(&cfg, &w, RunScale::completion()), req.key());
     }
 
     #[test]

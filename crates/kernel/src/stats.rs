@@ -179,30 +179,6 @@ impl Histogram {
         self.max_ns
     }
 
-    /// Dump the non-empty buckets as a JSON object:
-    /// `{"count":..,"sum_ns":..,"max_ns":..,"buckets":[{"lo_ns":..,"hi_ns":..,"count":..},..]}`.
-    /// Bucket bounds are the nominal power-of-two ranges (half-open).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"buckets\":[",
-            self.count, self.sum_ns, self.max_ns
-        );
-        let mut first = true;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let (lo, hi) = bucket_bounds(i);
-            out.push_str(&format!("{{\"lo_ns\":{lo},\"hi_ns\":{hi},\"count\":{b}}}"));
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Fold another histogram into this one, bucket by bucket, so
     /// per-window histograms combine into a whole-run estimate without
     /// rescanning the samples. The sum saturates like
@@ -482,25 +458,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.sum_ns(), u64::MAX, "merged sum saturates");
         assert_eq!(a.count(), 20_000);
-    }
-
-    #[test]
-    fn to_json_dumps_only_populated_buckets() {
-        let empty = Histogram::new();
-        assert_eq!(
-            empty.to_json(),
-            "{\"count\":0,\"sum_ns\":0,\"max_ns\":0,\"buckets\":[]}"
-        );
-        let mut h = Histogram::new();
-        h.record(Duration::from_ns(100)); // bucket [64, 128)
-        h.record(Duration::from_ns(100));
-        h.record(Duration::from_ns(3)); // bucket [2, 4)
-        assert_eq!(
-            h.to_json(),
-            "{\"count\":3,\"sum_ns\":203,\"max_ns\":100,\"buckets\":[\
-             {\"lo_ns\":2,\"hi_ns\":4,\"count\":1},\
-             {\"lo_ns\":64,\"hi_ns\":128,\"count\":2}]}"
-        );
     }
 
     #[test]

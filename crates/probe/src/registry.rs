@@ -179,30 +179,6 @@ impl HistogramCore {
         }
         self.max
     }
-
-    /// Dump the non-empty buckets as a JSON object:
-    /// `{"count":..,"sum":..,"max":..,"buckets":[{"lo":..,"hi":..,"count":..},..]}`.
-    /// Bucket bounds are the nominal power-of-two ranges (half-open).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[",
-            self.count, self.sum, self.max
-        );
-        let mut first = true;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let (lo, hi) = bucket_bounds(i);
-            out.push_str(&format!("{{\"lo\":{lo},\"hi\":{hi},\"count\":{b}}}"));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// The nominal half-open range `[lo, hi)` of bucket `i`: bucket 0 holds
@@ -580,25 +556,6 @@ mod tests {
         let p99 = core.percentile(99.0);
         assert!((950..=1000).contains(&p99), "interpolated p99 was {p99}");
         assert_eq!(core.percentile(100.0), 1000, "p100 clamps to max");
-    }
-
-    #[test]
-    fn histogram_to_json_dumps_populated_buckets() {
-        let empty = HistogramCore::default();
-        assert_eq!(
-            empty.to_json(),
-            "{\"count\":0,\"sum\":0,\"max\":0,\"buckets\":[]}"
-        );
-        let mut core = HistogramCore::default();
-        core.record(3); // bucket [2, 4)
-        core.record(100); // bucket [64, 128)
-        core.record(100);
-        assert_eq!(
-            core.to_json(),
-            "{\"count\":3,\"sum\":203,\"max\":100,\"buckets\":[\
-             {\"lo\":2,\"hi\":4,\"count\":1},\
-             {\"lo\":64,\"hi\":128,\"count\":2}]}"
-        );
     }
 
     #[test]

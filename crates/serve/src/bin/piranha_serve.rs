@@ -13,12 +13,17 @@
 //! - `--parallel=` — lane workers per multi-chip simulation; the pool
 //!   width is divided by this so the total stays within budget.
 //!
+//! An unknown flag or a malformed count exits with status 2.
+//!
 //! Clients speak newline-delimited JSON — see `piranha_serve::service`
 //! for the protocol, and the `fig_queue` binary for a worked example.
 
 use std::sync::Arc;
 
 use piranha_serve::{DiskStore, Server, ServerConfig};
+
+const USAGE: &str =
+    "usage: piranha_serve [--addr=HOST:PORT] [--store=DIR] [--threads=N] [--parallel=N]";
 
 fn main() {
     let mut addr = "127.0.0.1:7654".to_string();
@@ -32,19 +37,14 @@ fn main() {
         } else if let Some(v) = a.strip_prefix("--store=") {
             store_dir = Some(v.to_string());
         } else if let Some(v) = a.strip_prefix("--threads=") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                cfg.threads = n.max(1);
-            }
+            cfg.threads = count(&a, v);
         } else if let Some(v) = a.strip_prefix("--parallel=") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                piranha_harness::set_node_workers(n.max(1));
-            }
+            piranha_harness::set_node_workers(count(&a, v));
         } else if a == "--help" || a == "-h" {
-            println!(
-                "usage: piranha_serve [--addr=HOST:PORT] [--store=DIR] \
-                 [--threads=N] [--parallel=N]"
-            );
+            println!("{USAGE}");
             return;
+        } else {
+            reject(&format!("unknown flag {a}"));
         }
     }
 
@@ -73,4 +73,17 @@ fn main() {
     );
     server.run();
     println!("piranha_serve: shut down");
+}
+
+/// A positive count flag value; anything else exits 2.
+fn count(flag: &str, v: &str) -> usize {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => reject(&format!("bad value in {flag}: expected a count >= 1")),
+    }
+}
+
+fn reject(msg: &str) -> ! {
+    eprintln!("piranha_serve: {msg}\n{USAGE}");
+    std::process::exit(2);
 }

@@ -26,7 +26,8 @@
 //! sweep: `sweep_share(threads, node_workers())`, so `pool width × lane
 //! workers` stays within the configured budget even when each simulated
 //! machine spins up its own lane threads. Each work item resolves
-//! through the same claim protocol the harness uses ([`SharedCache`]),
+//! through the harness's own [`piranha_harness::resolve`] (the
+//! [`SharedCache`] claim protocol, then the store, then simulation),
 //! so a spec submitted twice — in one job, across jobs, or while
 //! already running — is simulated exactly once; the second submission
 //! reports `memory` provenance. Store hits report `store`, fresh
@@ -41,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use piranha_harness::{node_workers, run_config, Claim, ResultStore, RunRequest, SharedCache};
+use piranha_harness::{node_workers, Provenance, ResultStore, RunRequest, SharedCache};
 
 use crate::envelope::SCHEMA_VERSION;
 use crate::json::Json;
@@ -166,28 +167,18 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Resolve one request exactly as the harness does: ready cache
-    /// entry → persistent store → simulate, with in-flight dedup.
+    /// Resolve one request through the harness's shared resolve path
+    /// (ready cache entry → persistent store → simulate, with in-flight
+    /// dedup), counting and labelling its provenance.
     fn resolve(&self, req: &RunRequest) -> (Arc<piranha_system::RunResult>, &'static str) {
-        let key = req.key();
-        match self.cache.claim(&key) {
-            Claim::Ready(r) => {
-                self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                (r, "memory")
-            }
-            Claim::Owed(guard) => {
-                if let Some(r) = self.store.as_ref().and_then(|s| s.load(&key)) {
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    return (guard.fulfill(r), "store");
-                }
-                let r = run_config(req.cfg.clone(), &req.workload, req.scale);
-                if let Some(s) = &self.store {
-                    s.save(&key, &r);
-                }
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                (guard.fulfill(r), "computed")
-            }
-        }
+        let (r, provenance) = piranha_harness::resolve(&self.cache, self.store.as_deref(), req);
+        let (counter, label) = match provenance {
+            Provenance::Memory => (&self.mem_hits, "memory"),
+            Provenance::Store => (&self.store_hits, "store"),
+            Provenance::Computed => (&self.executed, "computed"),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (r, label)
     }
 
     /// Transition an entry and append its progress event under ONE

@@ -1,7 +1,7 @@
 //! Smoke tests of the experiment regenerators: at reduced scale, the
 //! *direction* of every paper result must already hold.
 
-use piranha::experiments::{self, RunScale};
+use piranha::experiments::{self, Harness, RunScale};
 
 fn tiny() -> RunScale {
     RunScale {
@@ -28,7 +28,7 @@ fn table1_lists_all_three_designs() {
 
 #[test]
 fn fig5_oltp_ordering_holds() {
-    let bars = experiments::fig5(&experiments::oltp(), tiny());
+    let bars = experiments::fig5(&mut Harness::new(), &experiments::oltp(), tiny());
     let t = |name: &str| bars.iter().find(|b| b.name == name).unwrap().norm_time;
     // Paper ordering: P8 << OOO < INO < P1.
     assert!(t("P8") < 60.0, "P8 clearly beats OOO: {}", t("P8"));
@@ -46,7 +46,7 @@ fn fig5_oltp_ordering_holds() {
 
 #[test]
 fn fig5_dss_ordering_holds() {
-    let bars = experiments::fig5(&experiments::dss(), tiny());
+    let bars = experiments::fig5(&mut Harness::new(), &experiments::dss(), tiny());
     let t = |name: &str| bars.iter().find(|b| b.name == name).unwrap().norm_time;
     assert!(t("P8") < 80.0, "P8 beats OOO on DSS: {}", t("P8"));
     assert!(
@@ -59,7 +59,7 @@ fn fig5_dss_ordering_holds() {
     assert!(p1.busy / p1.norm_time > 0.75, "DSS is CPU-bound: {p1:?}");
     // OLTP margin (2.3-2.9x) exceeds the DSS margin (~2.3x) in the
     // paper; check the weaker directional claim.
-    let oltp = experiments::fig5(&experiments::oltp(), tiny());
+    let oltp = experiments::fig5(&mut Harness::new(), &experiments::oltp(), tiny());
     let p8_oltp = oltp.iter().find(|b| b.name == "P8").unwrap().norm_time;
     assert!(
         p8_oltp < t("P8") + 25.0,
@@ -69,13 +69,14 @@ fn fig5_dss_ordering_holds() {
 
 #[test]
 fn fig6_speedup_and_breakdown_trends() {
-    let speedups = experiments::fig6a(tiny());
+    let mut h = Harness::new();
+    let speedups = experiments::fig6a(&mut h, tiny());
     let get = |n: &str| speedups.iter().find(|(x, _)| x == n).unwrap().1;
     assert!(get("P2") > 1.6, "P2: {}", get("P2"));
     assert!(get("P4") > get("P2"));
     assert!(get("P8") > 5.0, "near-linear CMP scaling: {}", get("P8"));
 
-    let rows = experiments::fig6b(tiny());
+    let rows = experiments::fig6b(&mut h, tiny());
     for (name, h, f, m) in &rows {
         assert!((h + f + m - 1.0).abs() < 1e-9, "{name} fractions sum to 1");
     }
@@ -96,7 +97,7 @@ fn fig6_speedup_and_breakdown_trends() {
 
 #[test]
 fn fig8_full_custom_extends_the_lead() {
-    let bars = experiments::fig8(&experiments::dss(), tiny());
+    let bars = experiments::fig8(&mut Harness::new(), &experiments::dss(), tiny());
     let t = |name: &str| bars.iter().find(|b| b.name == name).unwrap().norm_time;
     assert!(
         t("P8F") < t("P8"),
@@ -109,7 +110,7 @@ fn fig8_full_custom_extends_the_lead() {
 
 #[test]
 fn mem_page_hit_rate_is_meaningful() {
-    let r = experiments::mem_pages(tiny());
+    let r = experiments::mem_pages(&mut Harness::new(), tiny());
     assert!(r > 0.02 && r < 0.95, "open-page policy produces hits: {r}");
 }
 

@@ -13,7 +13,7 @@
 //!   `tests/golden_fingerprint.rs`).
 
 use piranha::experiments;
-use piranha::harness::{run_config, run_config_parallel_machine, RunScale};
+use piranha::harness::{run, RunOptions, RunRequest, RunScale};
 use piranha::types::Duration;
 use piranha::{QueueDiscipline, SystemConfig, TopologyKind};
 
@@ -29,22 +29,30 @@ fn congested() -> Duration {
     Duration::from_ns(piranha::net::CONGESTED_CAPACITY_NS)
 }
 
+/// `cfg` on bounded OLTP (`txns` per CPU), run to completion.
+fn to_completion(cfg: SystemConfig, txns: u64) -> RunRequest {
+    RunRequest::new(cfg, experiments::oltp_bounded(txns), RunScale::completion())
+}
+
+fn workers(n: usize) -> RunOptions {
+    RunOptions {
+        workers: Some(n),
+        ..RunOptions::default()
+    }
+}
+
 /// Every bounded discipline commits exactly the work of the lossless
 /// baseline — congestion delays packets, it never loses them — and the
 /// fabric's packet ledger closes on every combination.
 #[test]
 fn bounded_disciplines_conserve_work() {
-    let w = experiments::oltp_bounded(2);
     for topology in [
         TopologyKind::Mesh,
         TopologyKind::Torus,
         TopologyKind::FatTree,
     ] {
-        let base = run_config(
-            fabric_cfg(topology, QueueDiscipline::unbounded()),
-            &w,
-            RunScale::completion(),
-        );
+        let unbounded = fabric_cfg(topology, QueueDiscipline::unbounded());
+        let (base, _) = run(&to_completion(unbounded, 2), &RunOptions::default());
         let base_committed = base.committed_txns.expect("bounded workload reports work");
         assert!(base_committed > 0, "baseline must commit work");
         for queue in [
@@ -58,12 +66,7 @@ fn bounded_disciplines_conserve_work() {
                 capacity: congested(),
             },
         ] {
-            let (r, m) = run_config_parallel_machine(
-                fabric_cfg(topology, queue),
-                &w,
-                RunScale::completion(),
-                1,
-            );
+            let (r, m) = run(&to_completion(fabric_cfg(topology, queue), 2), &workers(1));
             let fs = m.fabric_stats();
             let label = format!("{}/{}", topology.label(), queue.label());
             assert_eq!(
@@ -96,7 +99,6 @@ fn bounded_disciplines_conserve_work() {
 /// conservative engine never reorders an interaction.
 #[test]
 fn fabric_runs_are_worker_invariant() {
-    let w = experiments::oltp_bounded(2);
     for (topology, queue) in [
         (
             TopologyKind::Torus,
@@ -111,17 +113,8 @@ fn fabric_runs_are_worker_invariant() {
             },
         ),
     ] {
-        let runs: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&n| {
-                run_config_parallel_machine(
-                    fabric_cfg(topology, queue),
-                    &w,
-                    RunScale::completion(),
-                    n,
-                )
-            })
-            .collect();
+        let req = to_completion(fabric_cfg(topology, queue), 2);
+        let runs: Vec<_> = [1, 2, 4].iter().map(|&n| run(&req, &workers(n))).collect();
         let (r0, m0) = &runs[0];
         let fs0 = m0.fabric_stats();
         for (r, m) in &runs[1..] {
@@ -157,16 +150,15 @@ fn fabric_runs_are_worker_invariant() {
 /// valid.
 #[test]
 fn default_fabric_is_bit_identical_to_presets() {
-    let w = experiments::oltp_bounded(3);
     for cfg in [
         SystemConfig::piranha_p8(),
         SystemConfig::piranha_pn(2).scaled_to_chips(2),
     ] {
-        let base = run_config(cfg.clone(), &w, RunScale::completion());
+        let (base, _) = run(&to_completion(cfg.clone(), 3), &RunOptions::default());
         let mut explicit = cfg.clone();
         explicit.topology = TopologyKind::Auto;
         explicit.net.queue = QueueDiscipline::unbounded();
-        let e = run_config(explicit, &w, RunScale::completion());
+        let (e, _) = run(&to_completion(explicit, 3), &RunOptions::default());
         assert_eq!(
             base.fingerprint(),
             e.fingerprint(),

@@ -10,7 +10,7 @@
 //!   and without recoverable faults.
 
 use piranha::experiments;
-use piranha::harness::{run_config, RunScale};
+use piranha::harness::{run, RunOptions, RunRequest, RunScale};
 use piranha::workloads::{SynthConfig, Workload};
 use piranha::{FaultConfig, Machine, SystemConfig};
 
@@ -37,14 +37,16 @@ fn faulted_cfg(seed: u64, rate: f64) -> SystemConfig {
     cfg
 }
 
+fn tiny_req(cfg: SystemConfig) -> RunRequest {
+    RunRequest::new(cfg, sharing_workload(), RunScale::tiny())
+}
+
 /// Same seed + same schedule ⇒ the whole run is bit-identical, faults,
 /// recoveries, and all.
 #[test]
 fn same_seed_and_schedule_are_bit_identical() {
-    let w = sharing_workload();
-    let scale = RunScale::tiny();
-    let a = run_config(faulted_cfg(42, 2e-3), &w, scale);
-    let b = run_config(faulted_cfg(42, 2e-3), &w, scale);
+    let (a, _) = run(&tiny_req(faulted_cfg(42, 2e-3)), &RunOptions::default());
+    let (b, _) = run(&tiny_req(faulted_cfg(42, 2e-3)), &RunOptions::default());
     assert!(a.availability.injected > 0, "the rate actually injected");
     assert!(a.availability.is_consistent());
     assert_eq!(a.fingerprint(), b.fingerprint(), "replay diverged");
@@ -56,10 +58,8 @@ fn same_seed_and_schedule_are_bit_identical() {
 /// latency anywhere.
 #[test]
 fn zero_rate_schedule_matches_the_fault_free_baseline() {
-    let w = sharing_workload();
-    let scale = RunScale::tiny();
-    let base = run_config(two_chip_cfg(), &w, scale);
-    let zero = run_config(faulted_cfg(7, 0.0), &w, scale);
+    let (base, _) = run(&tiny_req(two_chip_cfg()), &RunOptions::default());
+    let (zero, _) = run(&tiny_req(faulted_cfg(7, 0.0)), &RunOptions::default());
     assert_eq!(
         base.fingerprint(),
         zero.fingerprint(),
@@ -72,10 +72,8 @@ fn zero_rate_schedule_matches_the_fault_free_baseline() {
 /// fingerprint (it folds in the availability digest) must expose.
 #[test]
 fn different_fault_seeds_diverge() {
-    let w = sharing_workload();
-    let scale = RunScale::tiny();
-    let a = run_config(faulted_cfg(1, 2e-3), &w, scale);
-    let b = run_config(faulted_cfg(2, 2e-3), &w, scale);
+    let (a, _) = run(&tiny_req(faulted_cfg(1, 2e-3)), &RunOptions::default());
+    let (b, _) = run(&tiny_req(faulted_cfg(2, 2e-3)), &RunOptions::default());
     assert_ne!(
         a.fingerprint(),
         b.fingerprint(),
@@ -110,10 +108,9 @@ fn scripted_schedule_fires_every_event_once() {
 /// only the cycle counts may differ.
 #[test]
 fn completion_runs_commit_identical_work_under_faults() {
-    let w = experiments::oltp_bounded(8);
-    let scale = RunScale::completion();
-    let base = run_config(two_chip_cfg(), &w, scale);
-    let faulted = run_config(faulted_cfg(42, 2e-3), &w, scale);
+    let req = |cfg| RunRequest::new(cfg, experiments::oltp_bounded(8), RunScale::completion());
+    let (base, _) = run(&req(two_chip_cfg()), &RunOptions::default());
+    let (faulted, _) = run(&req(faulted_cfg(42, 2e-3)), &RunOptions::default());
     assert!(faulted.availability.injected > 0);
     assert!(faulted.availability.is_consistent());
     assert_eq!(

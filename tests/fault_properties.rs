@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use piranha::experiments;
-use piranha::harness::{run_config, RunScale};
+use piranha::harness::{run, RunOptions, RunRequest, RunScale};
 use piranha::workloads::{DssConfig, Workload};
 use piranha::{FaultConfig, SystemConfig};
 
@@ -32,12 +32,11 @@ proptest! {
         seed in 0u64..10_000,
         rate in 1e-4f64..3e-3,
     ) {
-        let w = experiments::oltp_bounded(6);
-        let scale = RunScale::completion();
-        let base = run_config(two_chip_cfg(), &w, scale);
+        let req = |cfg| RunRequest::new(cfg, experiments::oltp_bounded(6), RunScale::completion());
+        let (base, _) = run(&req(two_chip_cfg()), &RunOptions::default());
         let mut cfg = two_chip_cfg();
         cfg.faults = FaultConfig::seeded(seed, rate);
-        let faulted = run_config(cfg, &w, scale);
+        let (faulted, _) = run(&req(cfg), &RunOptions::default());
         prop_assert!(faulted.availability.is_consistent());
         prop_assert_eq!(
             faulted.committed_txns, base.committed_txns,
@@ -52,12 +51,11 @@ proptest! {
         seed in 0u64..10_000,
         rate in 1e-4f64..3e-3,
     ) {
-        let w = dss_bounded(512);
-        let scale = RunScale::completion();
-        let base = run_config(two_chip_cfg(), &w, scale);
+        let req = |cfg| RunRequest::new(cfg, dss_bounded(512), RunScale::completion());
+        let (base, _) = run(&req(two_chip_cfg()), &RunOptions::default());
         let mut cfg = two_chip_cfg();
         cfg.faults = FaultConfig::seeded(seed, rate);
-        let faulted = run_config(cfg, &w, scale);
+        let (faulted, _) = run(&req(cfg), &RunOptions::default());
         prop_assert!(faulted.availability.is_consistent());
         prop_assert_eq!(
             faulted.committed_txns, base.committed_txns,

@@ -20,8 +20,9 @@
 //! ordering legitimately changed.
 
 use piranha::experiments::{
-    fig5_fingerprints, golden_fingerprints, golden_plan, render_fingerprints, RunScale,
+    fig5_fingerprints, golden_fingerprints, golden_plan, render_fingerprints, RunRequest, RunScale,
 };
+use piranha::harness::{run, RunOptions};
 
 const GOLDEN: &str = include_str!("golden_fingerprints.tsv");
 const GOLDEN_FIG5: &str = include_str!("golden_fig5_quick.tsv");
@@ -125,12 +126,11 @@ fn golden_multichip_rows_match_under_parallel_workers() {
             .get(label.as_str())
             .unwrap_or_else(|| panic!("golden file has no row for {label}"));
         for workers in [2usize, 4] {
-            let r = piranha::harness::run_config_parallel(
-                req.cfg.clone(),
-                &req.workload,
-                req.scale,
-                workers,
-            );
+            let opts = RunOptions {
+                workers: Some(workers),
+                ..RunOptions::default()
+            };
+            let (r, _) = run(req, &opts);
             assert_eq!(
                 &format!("{:016x}", r.fingerprint()),
                 want,
@@ -149,7 +149,6 @@ fn golden_multichip_rows_match_under_parallel_workers() {
 mod parallel_props {
     use super::*;
     use piranha::experiments::{dss, oltp};
-    use piranha::harness::run_config_parallel;
     use piranha::SystemConfig;
     use proptest::prelude::*;
 
@@ -172,9 +171,10 @@ mod parallel_props {
             let mut cfg = SystemConfig::piranha_pn(cpus).scaled_to_chips(chips);
             cfg.seed = seed;
             let w = if use_dss { dss() } else { oltp() };
-            let scale = RunScale::tiny();
-            let serial = run_config_parallel(cfg.clone(), &w, scale, 1);
-            let parallel = run_config_parallel(cfg.clone(), &w, scale, workers);
+            let req = RunRequest::new(cfg.clone(), w, RunScale::tiny());
+            let on = |n| RunOptions { workers: Some(n), ..RunOptions::default() };
+            let (serial, _) = run(&req, &on(1));
+            let (parallel, _) = run(&req, &on(workers));
             prop_assert_eq!(
                 serial.fingerprint(),
                 parallel.fingerprint(),

@@ -1,9 +1,10 @@
 //! Acceptance tests for the parallel, memoizing experiment harness:
 //! determinism of repeated runs, bit-identical figure outputs between
-//! the serial and parallel paths, and (on multi-core hosts) the
-//! wall-clock win.
+//! a serial and a parallel harness, and (on multi-core hosts) the
+//! wall-clock win of the parallel one.
 
-use piranha::experiments::{self, Harness, RunPlan, RunScale};
+use piranha::experiments::{self, Harness, RunPlan, RunRequest, RunScale};
+use piranha::harness::{run, RunOptions};
 use piranha::workloads::{OltpConfig, Workload};
 use piranha::SystemConfig;
 
@@ -32,8 +33,9 @@ fn repeated_runs_are_deterministic() {
     let w = Workload::Oltp(OltpConfig::paper_default());
     let cfg = SystemConfig::piranha_pn(2);
     // Twice directly, on the calling thread.
-    let a = experiments::run_config(cfg.clone(), &w, small());
-    let b = experiments::run_config(cfg.clone(), &w, small());
+    let req = RunRequest::new(cfg.clone(), w.clone(), small());
+    let (a, _) = run(&req, &RunOptions::default());
+    let (b, _) = run(&req, &RunOptions::default());
     assert_results_identical(&a, &b);
     // Once more through the parallel harness (worker thread + cache).
     let mut plan = RunPlan::new();
@@ -47,9 +49,9 @@ fn repeated_runs_are_deterministic() {
 
 #[test]
 fn all_figures_bit_identical_to_serial_and_dedups() {
-    let serial = experiments::all_figures_serial(small());
+    let serial = experiments::all_figures(&mut Harness::serial(), small());
     let mut h = Harness::new();
-    let parallel = experiments::all_figures_with(&mut h, small());
+    let parallel = experiments::all_figures(&mut h, small());
     assert_eq!(
         serial, parallel,
         "parallel memoized figures must be bit-identical"
@@ -66,24 +68,25 @@ fn all_figures_bit_identical_to_serial_and_dedups() {
     assert!(h.cache_hits() > 10, "figure assembly is served from cache");
 }
 
-/// The quick-scale acceptance run: ≥2x wall-clock win on a multi-core
-/// host, bit-identical output everywhere. Several minutes in debug
-/// builds, so opt-in: `cargo test --release -- --ignored`.
+/// The quick-scale acceptance run: ≥2x wall-clock win of a parallel
+/// harness over a serial one on a host with ≥ 4 cores, bit-identical
+/// output everywhere. Both harnesses memoize the same union plan, so the
+/// gap is thread-level parallelism alone (the dedup is checked by
+/// `all_figures_bit_identical_to_serial_and_dedups`). Several minutes
+/// in debug builds, so opt-in: `cargo test --release -- --ignored`.
 #[test]
 #[ignore = "long: quick-scale full-evaluation comparison; run with --ignored (ideally --release)"]
 fn all_figures_quick_parallel_speedup() {
     let scale = RunScale::quick();
     let t0 = std::time::Instant::now();
-    let serial = experiments::all_figures_serial(scale);
+    let serial = experiments::all_figures(&mut Harness::serial(), scale);
     let t_serial = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let parallel = experiments::all_figures(scale);
+    let parallel = experiments::all_figures(&mut Harness::new(), scale);
     let t_parallel = t1.elapsed();
     assert_eq!(serial, parallel, "quick-scale figures bit-identical");
     let speedup = t_serial.as_secs_f64() / t_parallel.as_secs_f64().max(1e-9);
-    eprintln!(
-        "all_figures quick: serial {t_serial:?}, parallel+memoized {t_parallel:?} ({speedup:.2}x)"
-    );
+    eprintln!("all_figures quick: serial {t_serial:?}, parallel {t_parallel:?} ({speedup:.2}x)");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -91,12 +94,6 @@ fn all_figures_quick_parallel_speedup() {
         assert!(
             speedup >= 2.0,
             "expected >=2x on a {cores}-core host, got {speedup:.2}x"
-        );
-    } else {
-        // Single- or dual-core host: memoization alone must still win.
-        assert!(
-            speedup > 1.3,
-            "memoization alone beats serial: {speedup:.2}x"
         );
     }
 }

@@ -6,11 +6,11 @@
 //! carries spans from at least four subsystems, and the stall table's
 //! per-core fractions always sum to 1.
 
-use piranha::harness::{run_config, run_config_probed, RunScale};
+use piranha::harness::{run, RunOptions, RunRequest, RunScale};
 use piranha::observe;
 use piranha::probe::{chrome, ProbeConfig, TraceLevel};
 use piranha::workloads::{SynthConfig, Workload};
-use piranha::SystemConfig;
+use piranha::{Probe, RunResult, SystemConfig};
 
 fn sharing_workload() -> Workload {
     Workload::Synth(SynthConfig {
@@ -29,25 +29,29 @@ fn two_chip_cfg() -> SystemConfig {
     cfg
 }
 
+/// Run the two-chip machine on `w` with a probe at `level` attached;
+/// the machine hands the probe back for export.
+fn probed(w: Workload, scale: RunScale, level: TraceLevel) -> (RunResult, Probe) {
+    let opts = RunOptions {
+        probe: Some(Probe::new(ProbeConfig::with_level(level))),
+        ..RunOptions::default()
+    };
+    let (r, m) = run(&RunRequest::new(two_chip_cfg(), w, scale), &opts);
+    (r, m.probe().clone())
+}
+
 /// Probe off, probe at metrics-only level, and probe at full span
 /// tracing all produce the same simulated results, bit for bit.
 #[test]
 fn probe_never_perturbs_the_simulation() {
     let w = sharing_workload();
     let scale = RunScale::tiny();
-    let bare = run_config(two_chip_cfg(), &w, scale);
-    let (metrics_only, _) = run_config_probed(
-        two_chip_cfg(),
-        &w,
-        scale,
-        ProbeConfig::with_level(TraceLevel::Off),
+    let (bare, _) = run(
+        &RunRequest::new(two_chip_cfg(), w.clone(), scale),
+        &RunOptions::default(),
     );
-    let (traced, _) = run_config_probed(
-        two_chip_cfg(),
-        &w,
-        scale,
-        ProbeConfig::with_level(TraceLevel::Verbose),
-    );
+    let (metrics_only, _) = probed(w.clone(), scale, TraceLevel::Off);
+    let (traced, _) = probed(w, scale, TraceLevel::Verbose);
     assert_eq!(
         bare.fingerprint(),
         metrics_only.fingerprint(),
@@ -69,12 +73,7 @@ fn probe_never_perturbs_the_simulation() {
 #[test]
 #[cfg_attr(not(feature = "trace"), ignore = "needs the trace feature")]
 fn two_chip_trace_covers_four_subsystems() {
-    let (_, probe) = run_config_probed(
-        two_chip_cfg(),
-        &sharing_workload(),
-        RunScale::tiny(),
-        ProbeConfig::with_level(TraceLevel::Spans),
-    );
+    let (_, probe) = probed(sharing_workload(), RunScale::tiny(), TraceLevel::Spans);
     let snap = probe.trace_snapshot().expect("probe attached");
     assert!(!snap.is_empty(), "spans were recorded");
     let cats = snap.categories();
@@ -93,12 +92,7 @@ fn two_chip_trace_covers_four_subsystems() {
 /// cycles: fractions sum to 1 within 1e-6, on a run with real stalls.
 #[test]
 fn stall_table_fractions_sum_to_one() {
-    let (r, _) = run_config_probed(
-        two_chip_cfg(),
-        &sharing_workload(),
-        RunScale::tiny(),
-        ProbeConfig::with_level(TraceLevel::Off),
-    );
+    let (r, _) = probed(sharing_workload(), RunScale::tiny(), TraceLevel::Off);
     let t = r.stall_table();
     assert_eq!(t.rows.len(), r.cpus.len() + 1, "per-core rows plus 'all'");
     assert!(t.sums_to_one(1e-6), "fractions partition the window");
@@ -113,12 +107,7 @@ fn stall_table_fractions_sum_to_one() {
 /// expected hierarchy and survives both export formats.
 #[test]
 fn metrics_snapshot_exports() {
-    let (r, _) = run_config_probed(
-        two_chip_cfg(),
-        &sharing_workload(),
-        RunScale::tiny(),
-        ProbeConfig::with_level(TraceLevel::Off),
-    );
+    let (r, _) = probed(sharing_workload(), RunScale::tiny(), TraceLevel::Off);
     assert!(
         !r.metrics.is_empty(),
         "sample_metrics populated the snapshot"
@@ -150,9 +139,10 @@ fn export_probed_run_writes_files() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.json");
     let metrics = dir.join("metrics.csv");
-    let cli = observe::ProbeCli {
+    let cli = observe::Cli {
         trace: Some(trace.clone()),
         metrics: Some(metrics.clone()),
+        ..observe::Cli::default()
     };
     let summary = observe::export_probed_run(&cli, &sharing_workload(), RunScale::tiny()).unwrap();
     assert!(summary.contains("stall attribution"));

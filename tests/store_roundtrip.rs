@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use piranha::experiments::{oltp_bounded, RunScale};
-use piranha::harness::{cache_key, Harness, ResultStore, RunPlan, RunRequest};
+use piranha::harness::{cache_key, run, Harness, ResultStore, RunOptions, RunPlan, RunRequest};
 use piranha::serve::DiskStore;
 use piranha::workloads::Workload;
 use piranha::{FaultConfig, SystemConfig};
@@ -31,11 +31,10 @@ fn faulted_run_survives_the_disk_round_trip_bit_identically() {
     let store = DiskStore::open(&dir).unwrap();
     let mut cfg = SystemConfig::piranha_pn(2).scaled_to_chips(2);
     cfg.faults = FaultConfig::seeded(7, 1e-3);
-    let w = oltp_bounded(5);
-    let scale = RunScale::completion();
+    let req = RunRequest::new(cfg, oltp_bounded(5), RunScale::completion());
 
-    let fresh = piranha::harness::run_config(cfg.clone(), &w, scale);
-    let key = cache_key(&cfg, &w, scale);
+    let (fresh, _) = run(&req, &RunOptions::default());
+    let key = req.key();
     store.save(&key, &fresh);
     let loaded = store.load(&key).expect("entry just saved");
 

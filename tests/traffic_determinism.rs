@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 
 use piranha::experiments;
-use piranha::harness::{run_config, run_config_parallel, run_config_traffic, RunScale};
+use piranha::harness::{run, RunOptions, RunRequest, RunScale};
 use piranha::{OverflowPolicy, SystemConfig, TrafficConfig};
 
 fn two_chip_cfg() -> SystemConfig {
@@ -30,16 +30,26 @@ fn loaded_cfg(traffic: TrafficConfig) -> SystemConfig {
     cfg
 }
 
+/// `cfg` on bounded OLTP (`txns` per CPU), run to completion.
+fn to_completion(cfg: SystemConfig, txns: u64) -> RunRequest {
+    RunRequest::new(cfg, experiments::oltp_bounded(txns), RunScale::completion())
+}
+
 /// The whole loaded run — event order, arrival schedule, latency
 /// histogram — is invariant under the lane-worker count: the quantum
 /// engine only changes wall-clock, never results.
 #[test]
 fn traffic_runs_are_worker_invariant() {
-    let w = experiments::oltp_bounded(8);
-    let cfg = loaded_cfg(TrafficConfig::poisson(400.0));
+    let req = to_completion(loaded_cfg(TrafficConfig::poisson(400.0)), 8);
     let runs: Vec<_> = [1, 2, 4]
         .iter()
-        .map(|&n| run_config_parallel(cfg.clone(), &w, RunScale::completion(), n))
+        .map(|&n| {
+            let opts = RunOptions {
+                workers: Some(n),
+                ..RunOptions::default()
+            };
+            run(&req, &opts).0
+        })
         .collect();
     let t0 = runs[0].traffic.as_ref().expect("traffic summary present");
     assert!(t0.ledger.completed > 0, "the load actually ran");
@@ -64,13 +74,12 @@ fn traffic_runs_are_worker_invariant() {
 /// fingerprint (it folds in the run's timing) must expose.
 #[test]
 fn different_traffic_seeds_diverge() {
-    let w = experiments::oltp_bounded(8);
     let mut a_cfg = TrafficConfig::poisson(400.0);
     a_cfg.seed = 1;
     let mut b_cfg = TrafficConfig::poisson(400.0);
     b_cfg.seed = 2;
-    let a = run_config(loaded_cfg(a_cfg), &w, RunScale::completion());
-    let b = run_config(loaded_cfg(b_cfg), &w, RunScale::completion());
+    let (a, _) = run(&to_completion(loaded_cfg(a_cfg), 8), &RunOptions::default());
+    let (b, _) = run(&to_completion(loaded_cfg(b_cfg), 8), &RunOptions::default());
     assert_ne!(
         a.fingerprint(),
         b.fingerprint(),
@@ -83,9 +92,8 @@ fn different_traffic_seeds_diverge() {
 /// golden fingerprints valid whenever `--traffic` is absent.
 #[test]
 fn zero_rate_traffic_leaves_closed_loop_runs_unchanged() {
-    let w = experiments::oltp_bounded(6);
     for cfg in [SystemConfig::piranha_pn(2), two_chip_cfg()] {
-        let base = run_config(cfg.clone(), &w, RunScale::completion());
+        let (base, _) = run(&to_completion(cfg.clone(), 6), &RunOptions::default());
         let mut zero = cfg.clone();
         zero.traffic = TrafficConfig {
             rate_tpmc: 0.0,
@@ -94,7 +102,7 @@ fn zero_rate_traffic_leaves_closed_loop_runs_unchanged() {
             overflow: OverflowPolicy::Defer,
             ..TrafficConfig::default()
         };
-        let z = run_config(zero, &w, RunScale::completion());
+        let (z, _) = run(&to_completion(zero, 6), &RunOptions::default());
         assert_eq!(
             base.fingerprint(),
             z.fingerprint(),
@@ -118,7 +126,6 @@ proptest! {
         depth in 1usize..32,
         defer in proptest::bool::ANY,
     ) {
-        let w = experiments::oltp_bounded(5);
         let traffic = TrafficConfig {
             rate_tpmc: rate,
             seed,
@@ -126,7 +133,7 @@ proptest! {
             overflow: if defer { OverflowPolicy::Defer } else { OverflowPolicy::Drop },
             ..TrafficConfig::default()
         };
-        let r = run_config_traffic(two_chip_cfg(), &w, RunScale::completion(), traffic);
+        let (r, _) = run(&to_completion(loaded_cfg(traffic), 5), &RunOptions::default());
         let t = r.traffic.as_ref().expect("traffic summary present");
         prop_assert!(t.ledger.conserved(), "seed {} rate {}: {:?}", seed, rate, t.ledger);
         prop_assert_eq!(
