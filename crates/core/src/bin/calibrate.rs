@@ -1,33 +1,25 @@
 //! Calibration helper: prints the key figure shapes at full scale.
 //!
-//! Flags: `--quick` (CI scale), `--store=<dir>` (persistent result
-//! store). See `piranha::observe::Cli` for the flag grammar; an unknown
-//! or malformed flag exits with status 2.
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
 use piranha::experiments::{self, Harness};
-use piranha::observe::Cli;
+use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env("--quick --store");
+    let store = cli.install();
     let scale = cli.scale();
     let mut h = Harness::new();
     let t0 = std::time::Instant::now();
-    println!(
-        "{}",
-        experiments::render_bars(
-            "Fig5 OLTP",
-            &experiments::fig5(&mut h, &experiments::oltp(), scale)
-        )
-    );
-    println!("[{:.1}s]", t0.elapsed().as_secs_f32());
-    println!(
-        "{}",
-        experiments::render_bars(
-            "Fig5 DSS",
-            &experiments::fig5(&mut h, &experiments::dss(), scale)
-        )
-    );
-    println!("[{:.1}s]", t0.elapsed().as_secs_f32());
+    for (name, w) in [("OLTP", experiments::oltp()), ("DSS", experiments::dss())] {
+        let bars = experiments::fig5(&mut h, &w, scale);
+        println!(
+            "{}",
+            experiments::render_bars(&format!("Fig5 {name}"), &bars)
+        );
+        println!("[{:.1}s]", t0.elapsed().as_secs_f32());
+    }
     println!("Fig6a speedups: {:?}", experiments::fig6a(&mut h, scale));
     println!("Fig6b breakdown: {:?}", experiments::fig6b(&mut h, scale));
     println!(
@@ -35,5 +27,5 @@ fn main() {
         experiments::mem_pages(&mut h, scale)
     );
     println!("[{:.1}s total]", t0.elapsed().as_secs_f32());
-    setup.finish();
+    observe::store_summary(store.as_deref());
 }

@@ -1,11 +1,14 @@
 //! Calibration diagnostics: per-configuration miss profiles on OLTP and
 //! instruction throughput on DSS (a development aid; the shipped figures
-//! come from the `fig*` binaries).
+//! come from the `fig*` binaries). Always runs at `RunScale::quick()`
+//! and takes no arguments; any argument exits with status 2.
 use piranha::experiments::{dss, oltp, RunRequest, RunScale};
 use piranha::harness::{run, RunOptions};
+use piranha::observe::Cli;
 use piranha::SystemConfig;
 
 fn main() {
+    Cli::from_env("");
     let scale = RunScale::quick();
     for cfg in [
         SystemConfig::piranha_p1(),

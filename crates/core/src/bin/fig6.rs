@@ -1,17 +1,18 @@
 //! Regenerates Figure 6: (a) Piranha's OLTP speedup with 1..8 on-chip
 //! CPUs, and (b) the L1-miss breakdown (L2 hit / L2 fwd / L2 miss).
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2): `--quick`, `--parallel=<n>`,
-//! `--store=<dir>`, and the exemplar flags `--trace=`, `--metrics=`,
-//! `--traffic=`, `--topology=`/`--queue=` (see
-//! `piranha::observe::exemplars`).
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
 use piranha::experiments::{self, Harness};
 use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env(
+        "--quick --parallel --store \
+         --trace --metrics --traffic --traffic-depth --traffic-defer --topology --queue",
+    );
+    let store = cli.install();
     let scale = cli.scale();
     let mut harness = Harness::new();
     println!("Figure 6(a) — OLTP speedup vs number of cores (P1 = 1.0)");
@@ -27,5 +28,5 @@ fn main() {
         println!("  {name:<4} {h:>8.2} {f:>8.2} {m:>8.2}");
     }
     observe::exemplars(&cli, &experiments::oltp(), scale);
-    setup.finish();
+    observe::store_summary(store.as_deref());
 }

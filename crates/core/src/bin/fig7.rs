@@ -1,18 +1,18 @@
 //! Regenerates Figure 7: OLTP speedup of multi-chip (NUMA) systems —
 //! 4-CPU Piranha chips versus OOO chips, 1 to 4 chips.
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2): `--quick`, `--fingerprints`,
-//! `--parallel=<n>` (bit-identical to serial on these multi-chip
-//! machines), `--store=<dir>`, and the exemplar flags `--trace=`,
-//! `--metrics=`, `--traffic=`, `--topology=`/`--queue=` (see
-//! `piranha::observe::exemplars`).
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
 use piranha::experiments::{self, Harness};
 use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env(
+        "--quick --fingerprints --parallel --store \
+         --trace --metrics --traffic --traffic-depth --traffic-defer --topology --queue",
+    );
+    let store = cli.install();
     let scale = cli.scale();
     if cli.fingerprints {
         print!(
@@ -27,5 +27,5 @@ fn main() {
         }
         observe::exemplars(&cli, &experiments::oltp(), scale);
     }
-    setup.finish();
+    observe::store_summary(store.as_deref());
 }

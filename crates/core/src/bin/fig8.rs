@@ -1,19 +1,21 @@
 //! Regenerates Figure 8: the performance potential of a full-custom
 //! Piranha (P8F) on OLTP and DSS (OOO = 100).
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2): `--quick`, `--fingerprints` (includes the
-//! Figure 7 multi-chip rows so the CI parsim smoke exercises the quantum
-//! engine), `--parallel=<n>`, `--store=<dir>`, and the exemplar flags
-//! `--trace=`, `--metrics=` (the probed exemplar runs DSS here),
-//! `--traffic=`, `--topology=`/`--queue=` (see
-//! `piranha::observe::exemplars`).
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
+//! `--fingerprints` includes the Figure 7 multi-chip rows so the CI
+//! parsim smoke exercises the quantum engine; the probed exemplar of
+//! `--trace=`/`--metrics=` runs DSS here.
 use piranha::experiments::{self, Harness};
 use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env(
+        "--quick --fingerprints --parallel --store \
+         --trace --metrics --traffic --traffic-depth --traffic-defer --topology --queue",
+    );
+    let store = cli.install();
     let scale = cli.scale();
     if cli.fingerprints {
         print!(
@@ -22,21 +24,12 @@ fn main() {
         );
     } else {
         let mut h = Harness::new();
-        println!(
-            "{}",
-            experiments::render_bars(
-                "Figure 8 — OLTP (OOO = 100)",
-                &experiments::fig8(&mut h, &experiments::oltp(), scale)
-            )
-        );
-        println!(
-            "{}",
-            experiments::render_bars(
-                "Figure 8 — DSS (OOO = 100)",
-                &experiments::fig8(&mut h, &experiments::dss(), scale)
-            )
-        );
+        for (name, w) in [("OLTP", experiments::oltp()), ("DSS", experiments::dss())] {
+            let bars = experiments::fig8(&mut h, &w, scale);
+            let title = format!("Figure 8 — {name} (OOO = 100)");
+            println!("{}", experiments::render_bars(&title, &bars));
+        }
         observe::exemplars(&cli, &experiments::dss(), scale);
     }
-    setup.finish();
+    observe::store_summary(store.as_deref());
 }

@@ -3,27 +3,20 @@
 //! a headline faulted configuration **twice** to prove bit-identical
 //! determinism, and reports the availability ledger.
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2):
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--faults=<seed|script>` — a `u64` seeds a random schedule; any
-//!   other value is parsed as a fault script (`"corrupt@50, flap@60"`);
-//! - `--fault-rate=<f64>` — injection rate of a seeded schedule
-//!   (default `1e-4`);
-//! - `--metrics=<path>` — write the headline availability report as
-//!   JSON (this is what the CI `fault-smoke` step validates);
-//! - `--parallel=<n>` — run multi-chip machines (the sweep's and the
-//!   headline's) with `n` lane workers; bit-identical to serial;
-//! - `--store=<dir>` — persistent result store.
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
+//! `--faults=`/`--fault-rate=` select the headline schedule (seed 42 at
+//! `1e-4` without them); `--metrics=` writes the headline availability
+//! report as JSON, which the CI `fault-smoke` step validates.
 use piranha::experiments::{self, Harness, RunRequest, RunScale};
 use piranha::harness::{run, RunOptions};
 use piranha::observe::{self, Cli};
 use piranha::{FaultConfig, SystemConfig};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env("--quick --faults --fault-rate --metrics --parallel --store");
+    let store = cli.install();
     let txns: u64 = if cli.quick { 40 } else { 200 };
     // No flags: still exercise the recovery machinery by default.
     let faults = cli
@@ -98,5 +91,5 @@ fn main() {
 
     let report = observe::json::fault_headline(&cfg.name, txns, &r1, &r2, slowdown);
     cli.write_report("  availability report", &report);
-    setup.finish();
+    observe::store_summary(store.as_deref());
 }

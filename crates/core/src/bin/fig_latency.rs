@@ -4,27 +4,20 @@
 //! rate and reports p50/p95/p99 transaction latency, drop rate, and the
 //! saturation knee (the classic open-loop hockey-stick).
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2):
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--check` — exit nonzero unless p99 is monotone non-decreasing
-//!   across the sweep (10% tolerance for sampling noise) and a knee was
-//!   detected (this is what the CI `latency-smoke` step runs);
-//! - `--metrics=<path>` — write the sweep as JSON;
-//! - `--parallel=<n>` — run the multi-chip machines with `n` lane
-//!   workers (bit-identical to serial; only wall-clock changes);
-//! - `--topology=<ring|mesh|torus|fattree>` / `--queue=<droptail|lossy|pfc>`
-//!   — sweep the same load fractions over an overridden fabric
-//!   (calibration reruns on the overridden machine, so the load
-//!   fractions stay anchored to *its* service rate);
-//! - `--store=<dir>` — persistent result store.
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
+//! `--check` (the CI `latency-smoke` step) exits nonzero unless p99 is
+//! monotone across the sweep, within 10% for sampling noise, and a knee
+//! was detected. `--topology=`/`--queue=` sweep the same load fractions
+//! over an overridden fabric; calibration reruns on the overridden
+//! machine, so the fractions stay anchored to *its* service rate.
 use piranha::experiments::{self, LatencyReport};
 use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env("--quick --check --metrics --parallel --topology --queue");
+    cli.install();
     let mut cfg = experiments::fig_latency_config();
     cli.apply_fabric(&mut cfg);
     let rep = experiments::fig_latency(cfg, cli.quick);
@@ -36,7 +29,6 @@ fn main() {
         check(&rep);
         println!("latency-smoke checks passed");
     }
-    setup.finish();
 }
 
 /// The CI assertions: the hockey-stick must be monotone (within a 10%

@@ -7,16 +7,11 @@
 //! point it at a long-running `piranha_serve` instead to exercise
 //! cross-process reuse.
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2):
-//!
-//! - `--addr=<host:port>` — connect to an external `piranha_serve`
-//!   instead of spawning one in-process;
-//! - `--store=<dir>` — persistent result store for the in-process
-//!   server (ignored with `--addr=`; the external server owns its
-//!   store), with the usual `PIRANHA_STORE` fallback;
-//! - `--parallel=<n>` — lane workers per simulation (in-process server
-//!   only).
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
+//! `--store=` and `--parallel=` configure the in-process server; with
+//! `--addr=` the external server owns both, and `--store=` is ignored.
 use std::time::Instant;
 
 use piranha::harness::ResultStore;
@@ -24,18 +19,18 @@ use piranha::observe::Cli;
 use piranha::serve::{Client, JobStatus, RunSpec, Server, ServerConfig};
 
 fn main() {
-    let mut cli = Cli::from_env();
+    let mut cli = Cli::from_env("--addr --store --parallel");
     if cli.addr.is_some() {
         // The external server owns its store.
         cli.store = None;
     }
-    let setup = cli.install();
+    let store = cli.install();
 
     // Without --addr=, run the whole service in this process.
     let (addr, local) = match cli.addr {
         Some(a) => (a, None),
         None => {
-            let store = setup.store().map(|s| s as std::sync::Arc<dyn ResultStore>);
+            let store = store.map(|s| s as std::sync::Arc<dyn ResultStore>);
             let server = Server::bind("127.0.0.1:0", store, ServerConfig::default())
                 .expect("bind an ephemeral port");
             let addr = server.local_addr().expect("bound socket has an address");

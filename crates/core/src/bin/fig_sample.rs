@@ -4,25 +4,18 @@
 //! detailed windows, and reports CPI error, 95%-CI coverage, detailed
 //! share, and host wall-clock speedup.
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2):
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--metrics=<path>` — write the sweep as JSON (this is what the CI
-//!   `sample-smoke` step validates);
-//! - `--parallel=<n>` — run detailed windows with `n` lane workers
-//!   (single-chip P8 always runs serially; the flag is accepted for
-//!   symmetry with the other figure binaries);
-//! - `--store=<dir>` — persistent result store.
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
+//! `--metrics=` writes the sweep as JSON, which the CI `sample-smoke`
+//! step validates.
 use piranha::experiments;
 use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env("--quick --metrics");
     let rep = experiments::fig_sample(cli.quick);
     print!("{}", experiments::render_sample_report(&rep));
 
     cli.write_report("sampling report", &observe::json::sample_report(&rep));
-    setup.finish();
 }

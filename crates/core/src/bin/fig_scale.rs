@@ -4,27 +4,19 @@
 //! combination of the pluggable interconnect, reporting throughput,
 //! deflection/drop/pause rates, and link occupancy.
 //!
-//! Flags (grammar in `piranha::observe::Cli`; an unknown or malformed
-//! flag exits with status 2):
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--topology=<mesh|torus|fattree>` — narrow the sweep to one shape;
-//! - `--queue=<droptail|lossy|pfc>` — narrow the sweep to one
-//!   discipline;
-//! - `--check` — exit nonzero unless some swept point shows measurable
-//!   congestion (nonzero drops or pause stalls — this is what the CI
-//!   `scale-smoke` step runs; the per-row packet-ledger conservation is
-//!   asserted unconditionally inside the sweep);
-//! - `--metrics=<path>` — write the sweep as JSON;
-//! - `--parallel=<n>` — run every machine with `n` lane workers
-//!   (bit-identical to serial; only wall-clock changes);
-//! - `--store=<dir>` — persistent result store.
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
+//! `--topology=`/`--queue=` narrow the sweep to one shape or discipline.
+//! `--check` (the CI `scale-smoke` step) exits nonzero unless some swept
+//! point shows measurable congestion; the per-row packet-ledger
+//! conservation is asserted inside the sweep regardless.
 use piranha::experiments::{self, ScaleReport};
 use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env("--quick --topology --queue --check --metrics --parallel");
+    cli.install();
     let rep = experiments::fig_scale(cli.quick, cli.topology, cli.queue);
     print!("{}", experiments::render_scale_report(&rep));
 
@@ -34,7 +26,6 @@ fn main() {
         check(&rep);
         println!("scale-smoke checks passed");
     }
-    setup.finish();
 }
 
 /// The CI assertion: finite port buffers must actually bite somewhere

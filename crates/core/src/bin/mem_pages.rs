@@ -1,19 +1,19 @@
 //! Regenerates the §2.4 claim: RDRAM open-page hit rate on OLTP with a
 //! ~1 µs page-open policy.
 //!
-//! Flags: `--quick` (CI scale), `--store=<dir>` (persistent result
-//! store). See `piranha::observe::Cli` for the flag grammar; an unknown
-//! or malformed flag exits with status 2.
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
 use piranha::experiments::{self, Harness};
-use piranha::observe::Cli;
+use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env("--quick --store");
+    let store = cli.install();
     let r = experiments::mem_pages(&mut Harness::new(), cli.scale());
     println!(
         "RDRAM open-page hit rate on OLTP (1µs hold): {:.0}%",
         r * 100.0
     );
-    setup.finish();
+    observe::store_summary(store.as_deref());
 }

@@ -1,18 +1,18 @@
 //! Regenerates the §4 sensitivity results: the pessimistic P8 variant
 //! and the TPC-C-like workload.
 //!
-//! Flags: `--quick` (CI scale), `--store=<dir>` (persistent result
-//! store). See `piranha::observe::Cli` for the flag grammar; an unknown
-//! or malformed flag exits with status 2.
+//! Flags: the list passed to `Cli::from_env` below, with the grammar
+//! documented on `piranha::observe::Cli`; any other argument exits with
+//! status 2.
 use piranha::experiments::{self, Harness};
-use piranha::observe::Cli;
+use piranha::observe::{self, Cli};
 
 fn main() {
-    let cli = Cli::from_env();
-    let setup = cli.install();
+    let cli = Cli::from_env("--quick --store");
+    let store = cli.install();
     println!("§4 sensitivity (speedups)");
     for (label, s) in experiments::sensitivity(&mut Harness::new(), cli.scale()) {
         println!("  {label:<32} {s:>6.2}x");
     }
-    setup.finish();
+    observe::store_summary(store.as_deref());
 }

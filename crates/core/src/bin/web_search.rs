@@ -2,14 +2,16 @@
 //! search engine "exhibit behavior similar to decision support (DSS)
 //! workloads" — so Piranha's throughput advantage should carry over.
 //!
-//! Flags: `--quick` (CI scale). See `piranha::observe::Cli` for the
-//! flag grammar; an unknown or malformed flag exits with status 2.
+//!
+//! Takes only `--quick`: it drives each `Machine` directly, without the
+//! harness, so there is no result store or lane-worker setting to apply.
+//! Any other argument exits with status 2.
 use piranha::observe::Cli;
 use piranha::workloads::{DssConfig, WebConfig, Workload};
 use piranha::{Machine, SystemConfig};
 
 fn main() {
-    let scale = Cli::from_env().scale();
+    let scale = Cli::from_env("--quick").scale();
     let web = Workload::Web(WebConfig::paper_default());
     let dss = Workload::Dss(DssConfig::paper_default());
     println!("§6 — AltaVista-like web search vs DSS (normalized time, OOO = 100)");

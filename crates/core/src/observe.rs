@@ -22,17 +22,11 @@ use piranha_system::{
 };
 use piranha_workloads::Workload;
 
-/// Every accepted flag spelling, quoted in the error for an unknown one.
-const FLAGS: &str = "--quick --fingerprints --check --parallel=<n> --store=<dir> \
-     --trace=<path> --metrics=<path> --sample=<period>/<window> --traffic=<spec> \
-     --traffic-depth=<n> --traffic-defer --topology=<kind> --queue=<discipline> \
-     --faults=<seed|script> --fault-rate=<rate> --addr=<host:port>";
-
 /// Every flag the figure binaries take, read from argv in one pass.
-/// Each binary uses the subset its `//!` doc lists. An unknown flag, a
-/// positional argument or a malformed value is an error naming the
-/// argument; [`Cli::from_env`] prints it and exits with status 2, so a
-/// typo never silently runs the default setup.
+/// Each binary names the flags it uses when it calls [`Cli::from_env`];
+/// any other flag, a positional argument or a malformed value is an
+/// error naming the argument, and [`Cli::from_env`] prints it and exits
+/// with status 2, so a typo never silently runs the default setup.
 #[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// `--quick`: CI scale instead of the paper's full scale.
@@ -85,7 +79,8 @@ pub struct Cli {
     ///
     /// `--traffic-depth=<n>` bounds each core's run queue (default 16)
     /// and `--traffic-defer` parks overflowing arrivals on an unbounded
-    /// queue (counted `deferred`) instead of shedding them (`dropped`).
+    /// queue (counted `deferred`) instead of shedding them (`dropped`);
+    /// either one without `--traffic=` is an error.
     pub traffic: Option<TrafficConfig>,
     /// `--topology=<ring|mesh|torus|fattree>`: replace the automatic
     /// paper layout with an explicit fabric shape. `fig_scale` narrows
@@ -107,13 +102,15 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments, with the `PIRANHA_STORE` fallback
-    /// for `--store=`. On an error, prints it to stderr and exits with
+    /// Parse the process arguments, accepting only `flags` (the
+    /// whitespace-separated names the binary uses, such as `"--quick
+    /// --store"`), with the `PIRANHA_STORE` fallback when `--store` is
+    /// among them. On an error, prints it to stderr and exits with
     /// status 2 before anything is simulated.
-    pub fn from_env() -> Cli {
-        match Cli::parse(std::env::args().skip(1)) {
+    pub fn from_env(flags: &str) -> Cli {
+        match Cli::parse(std::env::args().skip(1), flags) {
             Ok(mut cli) => {
-                if cli.store.is_none() {
+                if cli.store.is_none() && takes(flags, "--store") {
                     cli.store = std::env::var_os("PIRANHA_STORE")
                         .filter(|s| !s.is_empty())
                         .map(PathBuf::from);
@@ -127,21 +124,33 @@ impl Cli {
         }
     }
 
-    /// Parse an explicit argument list (no environment fallback).
+    /// Parse an explicit argument list, accepting only the flags named
+    /// in `flags` (no environment fallback).
     ///
     /// # Errors
     ///
-    /// Names the offending argument: an unknown flag, a positional
-    /// argument, or a malformed value.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    /// Names the offending argument: a flag outside `flags`, a
+    /// positional argument, a malformed value, or a `--traffic-depth=`/
+    /// `--traffic-defer` without `--traffic=`.
+    pub fn parse(args: impl IntoIterator<Item = String>, flags: &str) -> Result<Cli, String> {
         let mut cli = Cli::default();
-        let (mut traffic, mut depth, mut defer) = (None, None, false);
+        let (mut traffic, mut depth, mut defer, mut rider) = (None, None, false, None);
         let (mut faults, mut rate) = (None, None);
         for arg in args {
             let (flag, value) = match arg.split_once('=') {
                 Some((f, v)) => (f, Some(v)),
                 None => (arg.as_str(), None),
             };
+            if !arg.starts_with("--") {
+                return Err(format!("unexpected argument {arg}"));
+            }
+            if !takes(flags, flag) {
+                let takes = if flags.is_empty() { "no flags" } else { flags };
+                return Err(format!("unknown flag {arg} (this binary takes: {takes})"));
+            }
+            if flag.starts_with("--traffic-") {
+                rider = Some(arg.clone());
+            }
             let bad = |why: &str| format!("bad value in {arg}: {why}");
             let path = |v: &str| {
                 (!v.is_empty())
@@ -188,9 +197,11 @@ impl Cli {
                     }
                     cli.addr = Some(v.to_string());
                 }
-                _ if !arg.starts_with("--") => return Err(format!("unexpected argument {arg}")),
-                _ => return Err(format!("unknown flag {arg} (accepted: {FLAGS})")),
+                _ => return Err(format!("malformed flag {arg}")),
             }
+        }
+        if let (None, Some(arg)) = (&traffic, rider) {
+            return Err(format!("{arg} needs --traffic=<spec>"));
         }
         cli.traffic = traffic.map(|mut t| {
             t.queue_depth = depth.unwrap_or(t.queue_depth);
@@ -226,17 +237,17 @@ impl Cli {
     /// Apply `--parallel=` to the process-wide harness setting
     /// ([`piranha_harness::set_node_workers`]) and open `--store=` as the
     /// default store every subsequently built `Harness` picks up
-    /// ([`piranha_serve::install_store`]). Call once, before any run.
+    /// ([`piranha_serve::install_store`]). Call once, before any run;
+    /// hand the returned store to [`store_summary`] when done.
     ///
     /// Exits the process (status 1) if the store directory cannot be
     /// created — a mistyped `--store=` silently computing everything
     /// from scratch would defeat the point.
-    pub fn install(&self) -> Setup {
+    pub fn install(&self) -> Option<Arc<DiskStore>> {
         if let Some(w) = self.parallel {
             piranha_harness::set_node_workers(w);
         }
-        let store = self
-            .store
+        self.store
             .as_ref()
             .map(|dir| match piranha_serve::install_store(dir) {
                 Ok(store) => store,
@@ -244,8 +255,7 @@ impl Cli {
                     eprintln!("cannot open result store {}: {e}", dir.display());
                     std::process::exit(1);
                 }
-            });
-        Setup { store }
+            })
     }
 
     /// Write a sweep binary's JSON report to `--metrics=<path>`, if
@@ -271,6 +281,11 @@ impl Cli {
             cfg.net.queue = q;
         }
     }
+}
+
+/// Whether the whitespace-separated flag list `flags` names `flag`.
+fn takes(flags: &str, flag: &str) -> bool {
+    flags.split_whitespace().any(|f| f == flag)
 }
 
 /// A count flag value ≥ 1.
@@ -333,33 +348,20 @@ fn traffic_config(spec: &str) -> Result<TrafficConfig, &'static str> {
     })
 }
 
-/// What [`Cli::install`] set up, kept so the binary can report on it
-/// when it is done.
-#[derive(Debug)]
-pub struct Setup {
-    store: Option<Arc<DiskStore>>,
-}
-
-impl Setup {
-    /// The installed `--store=` store, if any.
-    pub fn store(&self) -> Option<Arc<DiskStore>> {
-        self.store.clone()
-    }
-
-    /// Print the `--store=` summary line to stderr, so diffable stdout
-    /// contracts like `--fingerprints` stay intact: what this process
-    /// computed versus loaded, and how many entries the store now holds.
-    /// The CI `serve-smoke` step greps the `computed 0` of a warm second
-    /// run out of this. Prints nothing without a store.
-    pub fn finish(&self) {
-        if let Some(store) = &self.store {
-            let (computed, store_hits) = piranha_harness::process_counters();
-            eprintln!(
-                "result store {}: computed {computed}, loaded {store_hits}; {} entries on disk",
-                store.dir().display(),
-                store.len(),
-            );
-        }
+/// Print the `--store=` summary line of the store [`Cli::install`]
+/// returned to stderr, so diffable stdout contracts like
+/// `--fingerprints` stay intact: what this process computed versus
+/// loaded, and how many entries the store now holds. The CI
+/// `serve-smoke` step greps the `computed 0` of a warm second run out
+/// of this. Prints nothing without a store.
+pub fn store_summary(store: Option<&DiskStore>) {
+    if let Some(store) = store {
+        let (computed, store_hits) = piranha_harness::process_counters();
+        eprintln!(
+            "result store {}: computed {computed}, loaded {store_hits}; {} entries on disk",
+            store.dir().display(),
+            store.len(),
+        );
     }
 }
 
@@ -680,17 +682,36 @@ mod tests {
 
     use super::*;
 
+    /// Every flag any binary takes.
+    const ALL: &str = "--quick --fingerprints --check --parallel --store --trace --metrics \
+         --sample --traffic --traffic-depth --traffic-defer --topology --queue --faults \
+         --fault-rate --addr";
+
     fn parse(v: &[&str]) -> Result<Cli, String> {
-        Cli::parse(v.iter().map(|s| s.to_string()))
+        Cli::parse(v.iter().map(|s| s.to_string()), ALL)
     }
 
     type Check = fn(&Cli) -> bool;
 
     /// Every accepted spelling with what it must parse to. Each family
-    /// test below checks the rows of its flags.
+    /// test below checks the rows of its flags and the `--quick` row.
     const ACCEPTED: &[(&[&str], Check)] = &[
+        // No feature flags: every feature stays off, and the config keeps
+        // its (golden) fabric, traffic and fault defaults, so
+        // fingerprints stay intact.
         (&["--quick"], |c| {
-            c.quick && c.trace.is_none() && c.metrics.is_none() && c.scale() == RunScale::quick()
+            let mut cfg = exemplar_config();
+            c.apply_fabric(&mut cfg);
+            let only_quick = Cli {
+                quick: true,
+                ..Cli::default()
+            };
+            format!("{c:?}") == format!("{only_quick:?}")
+                && c.scale() == RunScale::quick()
+                && cfg.topology == TopologyKind::Auto
+                && cfg.net.queue == QueueDiscipline::unbounded()
+                && !cfg.traffic.enabled()
+                && !cfg.faults.enabled()
         }),
         (&["--fingerprints"], |c| c.fingerprints),
         (&["--check"], |c| c.check && c.scale() == RunScale::full()),
@@ -743,12 +764,6 @@ mod tests {
                     .is_some_and(|t| t.queue_depth == 4 && t.overflow == OverflowPolicy::Defer)
             },
         ),
-        // No fabric flags: the config keeps its (golden) defaults.
-        (&["--quick"], |c| {
-            let mut cfg = exemplar_config();
-            c.apply_fabric(&mut cfg);
-            cfg.topology == TopologyKind::Auto && cfg.net.queue == QueueDiscipline::unbounded()
-        }),
         // Both fabric flags apply; the queue comes back bounded.
         (&["--topology=torus", "--queue=pfc"], |c| {
             let mut cfg = exemplar_config();
@@ -792,6 +807,8 @@ mod tests {
         "--fault-rate=NaN",
         "--faults=bogus@@",
         "--traffic-depth=0",
+        "--traffic-depth=4",
+        "--traffic-defer",
         "--traffic=bogus",
         "--traffic=0",
         "--traffic=-5",
@@ -809,8 +826,9 @@ mod tests {
         "full",
     ];
 
-    /// Check the rows of [`ACCEPTED`] and [`REJECTED`] whose first
-    /// argument belongs to one of `families`.
+    /// Check the `--quick` row (the flags of `families` stay off
+    /// without them) and the rows of [`ACCEPTED`] and [`REJECTED`] whose
+    /// first argument belongs to one of `families`.
     fn check_family(families: &[&str]) {
         let ours =
             |arg: Option<&&str>| arg.is_some_and(|a| families.iter().any(|f| a.starts_with(f)));
@@ -819,6 +837,8 @@ mod tests {
             rows.clone().count() > 0,
             "no accepted rows for {families:?}"
         );
+        let quick = ACCEPTED.iter().filter(|(args, _)| *args == ["--quick"]);
+        let rows = quick.chain(rows);
         for (args, want) in rows {
             let cli = parse(args).unwrap_or_else(|e| panic!("{args:?} should parse: {e}"));
             assert!(want(&cli), "{args:?} parsed to {cli:?}");
@@ -862,7 +882,7 @@ mod tests {
 
     #[test]
     fn fabric_flags_resolve_to_overrides() {
-        check_family(&["--topology", "--quick"]);
+        check_family(&["--topology", "--queue"]);
     }
 
     #[test]
@@ -876,6 +896,14 @@ mod tests {
             let e = parse(&["--quick", bad]).expect_err(bad);
             assert!(e.contains(bad), "error for {bad} must name it: {e}");
         }
+        // A well-formed flag the binary does not take is unknown to it.
+        for flag in ALL.split_whitespace() {
+            let arg = format!("{flag}=1");
+            let e = Cli::parse([arg.clone()], "").expect_err(&arg);
+            assert!(e.contains(&arg), "error for {arg} must name it: {e}");
+        }
+        let e = Cli::parse(["--store=/tmp/x".to_string()], "--quick").unwrap_err();
+        assert!(e.contains("--store=/tmp/x") && e.contains("--quick"), "{e}");
     }
 
     #[test]

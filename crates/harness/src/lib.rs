@@ -66,7 +66,7 @@ pub trait ResultStore: Send + Sync {
 
 /// The process-wide default store newly built harnesses attach
 /// (`Harness::new` / `Harness::with_threads`). Installed by the
-/// `--store=<dir>` / `PIRANHA_STORE` rider of the figure binaries.
+/// `--store=<dir>` / `PIRANHA_STORE` setting of the figure binaries.
 static DEFAULT_STORE: RwLock<Option<Arc<dyn ResultStore>>> = RwLock::new(None);
 
 /// Install (or clear) the process-wide default result store. Every
@@ -74,11 +74,6 @@ static DEFAULT_STORE: RwLock<Option<Arc<dyn ResultStore>>> = RwLock::new(None);
 /// harnesses are unaffected.
 pub fn set_default_store(store: Option<Arc<dyn ResultStore>>) {
     *DEFAULT_STORE.write().unwrap() = store;
-}
-
-/// The currently installed process-wide default store, if any.
-pub fn default_store() -> Option<Arc<dyn ResultStore>> {
-    DEFAULT_STORE.read().unwrap().clone()
 }
 
 /// Where a memoized result came from, for cache-provenance accounting.
@@ -578,7 +573,7 @@ impl Harness {
     pub fn with_threads(threads: usize) -> Self {
         Harness {
             cache: SharedCache::new(),
-            store: default_store(),
+            store: DEFAULT_STORE.read().unwrap().clone(),
             threads: threads.max(1),
             executed: 0,
             hits: 0,
@@ -610,11 +605,6 @@ impl Harness {
         self
     }
 
-    /// The worker-thread bound.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// How many simulations this harness actually executed (store loads
     /// and waits on another claimant's computation are *not* counted).
     pub fn unique_runs(&self) -> usize {
@@ -630,10 +620,6 @@ impl Harness {
     /// being recomputed.
     pub fn store_hits(&self) -> usize {
         self.store_hits
-    }
-
-    fn resolve(&self, req: &RunRequest) -> (Arc<RunResult>, Provenance) {
-        resolve(&self.cache, self.store.as_deref(), req)
     }
 
     /// Execute every request of `plan` that is not already cached,
@@ -679,7 +665,7 @@ impl Harness {
         };
         if workers <= 1 {
             for req in todo {
-                let (_, p) = self.resolve(req);
+                let (_, p) = resolve(&self.cache, self.store.as_deref(), req);
                 count(p);
             }
         } else {
@@ -689,7 +675,7 @@ impl Harness {
                     s.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(req) = todo.get(i) else { break };
-                        let (_, p) = self.resolve(req);
+                        let (_, p) = resolve(&self.cache, self.store.as_deref(), req);
                         count(p);
                     });
                 }
@@ -705,18 +691,13 @@ impl Harness {
     /// [`Harness::execute`] uses.
     pub fn get(&mut self, cfg: &SystemConfig, w: &Workload, scale: RunScale) -> Arc<RunResult> {
         let req = RunRequest::new(cfg.clone(), w.clone(), scale);
-        let (r, p) = self.resolve(&req);
+        let (r, p) = resolve(&self.cache, self.store.as_deref(), &req);
         match p {
             Provenance::Memory => self.hits += 1,
             Provenance::Store => self.store_hits += 1,
             Provenance::Computed => self.executed += 1,
         }
         r
-    }
-
-    /// Whether a tuple is already cached (ready, not merely in flight).
-    pub fn contains(&self, cfg: &SystemConfig, w: &Workload, scale: RunScale) -> bool {
-        self.cache.lookup(&cache_key(cfg, w, scale)).is_some()
     }
 }
 
