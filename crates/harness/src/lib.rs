@@ -371,22 +371,27 @@ pub fn process_counters() -> (usize, usize) {
 /// the key is in flight elsewhere, so a duplicate submission is
 /// idempotent. [`Harness`] and the experiment server both resolve
 /// through here and keep their own per-[`Provenance`] counters.
+///
+/// `key` is `req.key()`, rendered once by the caller: the key is a
+/// ~2 KB `Debug` string, and callers already hold it from their own
+/// cache lookup.
 pub fn resolve(
     cache: &SharedCache,
     store: Option<&dyn ResultStore>,
     req: &RunRequest,
+    key: &str,
 ) -> (Arc<RunResult>, Provenance) {
-    let key = req.key();
-    match cache.claim(&key) {
+    debug_assert_eq!(key, req.key(), "resolve needs the request's own key");
+    match cache.claim(key) {
         Claim::Ready(r) => (r, Provenance::Memory),
         Claim::Owed(guard) => {
-            if let Some(r) = store.and_then(|s| s.load(&key)) {
+            if let Some(r) = store.and_then(|s| s.load(key)) {
                 PROCESS_STORE_HITS.fetch_add(1, Ordering::Relaxed);
                 return (guard.fulfill(r), Provenance::Store);
             }
             let (r, _) = run(req, &RunOptions::default());
             if let Some(s) = store {
-                s.save(&key, &r);
+                s.save(key, &r);
             }
             PROCESS_COMPUTED.fetch_add(1, Ordering::Relaxed);
             (guard.fulfill(r), Provenance::Computed)
@@ -631,10 +636,11 @@ impl Harness {
     /// Requests whose key lands in the persistent store or is computed
     /// concurrently by another cache sharer are *not* re-simulated.
     pub fn execute(&mut self, plan: &RunPlan) {
-        let todo: Vec<&RunRequest> = plan
+        let todo: Vec<(&RunRequest, String)> = plan
             .requests()
             .iter()
-            .filter(|r| self.cache.lookup(&r.key()).is_none())
+            .map(|r| (r, r.key()))
+            .filter(|(_, key)| self.cache.lookup(key).is_none())
             .collect();
         if todo.is_empty() {
             return;
@@ -648,7 +654,7 @@ impl Harness {
         // starve sweeps of small configs under a wide `--parallel` flag.
         let per_run = todo
             .iter()
-            .map(|r| effective_lane_width(&r.cfg, node_workers()))
+            .map(|(r, _)| effective_lane_width(&r.cfg, node_workers()))
             .max()
             .unwrap_or(1);
         let workers = piranha_parsim::sweep_share(self.threads, per_run).min(todo.len());
@@ -664,8 +670,8 @@ impl Harness {
             Provenance::Memory => {}
         };
         if workers <= 1 {
-            for req in todo {
-                let (_, p) = resolve(&self.cache, self.store.as_deref(), req);
+            for (req, key) in &todo {
+                let (_, p) = resolve(&self.cache, self.store.as_deref(), req, key);
                 count(p);
             }
         } else {
@@ -674,8 +680,8 @@ impl Harness {
                 for _ in 0..workers {
                     s.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(req) = todo.get(i) else { break };
-                        let (_, p) = resolve(&self.cache, self.store.as_deref(), req);
+                        let Some((req, key)) = todo.get(i) else { break };
+                        let (_, p) = resolve(&self.cache, self.store.as_deref(), req, key);
                         count(p);
                     });
                 }
@@ -691,7 +697,7 @@ impl Harness {
     /// [`Harness::execute`] uses.
     pub fn get(&mut self, cfg: &SystemConfig, w: &Workload, scale: RunScale) -> Arc<RunResult> {
         let req = RunRequest::new(cfg.clone(), w.clone(), scale);
-        let (r, p) = resolve(&self.cache, self.store.as_deref(), &req);
+        let (r, p) = resolve(&self.cache, self.store.as_deref(), &req, &req.key());
         match p {
             Provenance::Memory => self.hits += 1,
             Provenance::Store => self.store_hits += 1,

@@ -23,6 +23,8 @@
 //! construction rather than by printing heroics.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
+use std::sync::OnceLock;
 
 use piranha_cpu::stats::STALL_KINDS;
 use piranha_cpu::CoreStats;
@@ -33,7 +35,7 @@ use piranha_sample::SampleEstimate;
 use piranha_system::RunResult;
 use piranha_traffic::{TrafficLedger, TrafficSummary};
 use piranha_types::time::Clock;
-use piranha_types::Duration;
+use piranha_types::{Duration, Fnv64};
 
 use crate::json::Json;
 
@@ -45,22 +47,19 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// change to the simulator (any such change re-blesses the table).
 const GOLDEN_TABLE: &str = include_str!("../../../tests/golden_fingerprints.tsv");
 
-/// FNV-1a over `bytes`, the same hash the fingerprint uses.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The build stamp persisted entries are guarded by: a hash of the
 /// schema version and the golden-fingerprint table. Two builds share a
 /// stamp exactly when they agree on the envelope layout *and* on the
 /// bit-exact behaviour of the simulator (as certified by the goldens).
+/// Both inputs are compiled in, so the hash is taken once per process.
 pub fn build_stamp() -> u64 {
-    fnv1a(format!("piranha-serve/v{SCHEMA_VERSION}|{GOLDEN_TABLE}").as_bytes())
+    static STAMP: OnceLock<u64> = OnceLock::new();
+    *STAMP.get_or_init(|| {
+        let mut h = Fnv64::new();
+        write!(h, "piranha-serve/v{SCHEMA_VERSION}|{GOLDEN_TABLE}")
+            .expect("hashing a rendering cannot fail");
+        h.finish()
+    })
 }
 
 /// A decoded store entry: the cache key it was saved under and the
@@ -558,6 +557,21 @@ mod tests {
         assert!(decode(&good[..good.len() / 2]).is_err());
         assert!(decode("").is_err());
         assert!(decode("not json at all").is_err());
+    }
+
+    #[test]
+    fn long_key_round_trips_with_its_fingerprint() {
+        // Real keys are ~2 KB `Debug` renderings; 256 KiB with quotes,
+        // backslashes and non-ASCII text is far past any of them.
+        let key: String = "Cfg { name: \"p8\", path: \"a\\b\" }|Δπ|"
+            .chars()
+            .cycle()
+            .take(256 << 10)
+            .collect();
+        let r = sample_result();
+        let env = decode(&encode(&key, &r)).expect("decodes");
+        assert_eq!(env.key, key);
+        assert_eq!(env.result.fingerprint(), r.fingerprint());
     }
 
     #[test]

@@ -149,6 +149,8 @@ struct WorkItem {
     job: u64,
     idx: usize,
     req: RunRequest,
+    /// `req.key()`, rendered once at submit (the entry holds it too).
+    key: String,
 }
 
 struct ServerState {
@@ -167,11 +169,12 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Resolve one request through the harness's shared resolve path
+    /// Resolve one work item through the harness's shared resolve path
     /// (ready cache entry → persistent store → simulate, with in-flight
     /// dedup), counting and labelling its provenance.
-    fn resolve(&self, req: &RunRequest) -> (Arc<piranha_system::RunResult>, &'static str) {
-        let (r, provenance) = piranha_harness::resolve(&self.cache, self.store.as_deref(), req);
+    fn resolve(&self, item: &WorkItem) -> (Arc<piranha_system::RunResult>, &'static str) {
+        let (r, provenance) =
+            piranha_harness::resolve(&self.cache, self.store.as_deref(), &item.req, &item.key);
         let (counter, label) = match provenance {
             Provenance::Memory => (&self.mem_hits, "memory"),
             Provenance::Store => (&self.store_hits, "store"),
@@ -230,7 +233,7 @@ impl ServerState {
                 ]),
             );
             let start = Instant::now();
-            let (r, provenance) = self.resolve(&item.req);
+            let (r, provenance) = self.resolve(&item);
             let wall_ms = start.elapsed().as_millis() as u64;
             let (fingerprint, ipns) = (r.fingerprint(), r.throughput_ipns());
             self.set_entry_state(
@@ -463,6 +466,7 @@ fn submit(state: &ServerState, req: &Json) -> Json {
         let label = spec.label();
         // Already resolved in memory: answer instantly, no queueing.
         if let Some(r) = state.cache.lookup(&key) {
+            let fingerprint = r.fingerprint();
             state.mem_hits.fetch_add(1, Ordering::Relaxed);
             cached += 1;
             job.done += 1;
@@ -472,7 +476,7 @@ fn submit(state: &ServerState, req: &Json) -> Json {
                 state: EntryState::Done {
                     provenance: "memory",
                     wall_ms: 0,
-                    fingerprint: r.fingerprint(),
+                    fingerprint,
                     ipns: r.throughput_ipns(),
                 },
             });
@@ -484,7 +488,7 @@ fn submit(state: &ServerState, req: &Json) -> Json {
                     ("wall_ms".into(), Json::U64(0)),
                     (
                         "fingerprint".into(),
-                        Json::str(format!("{:016x}", r.fingerprint())),
+                        Json::str(format!("{fingerprint:016x}")),
                     ),
                 ])
                 .to_string(),
@@ -498,15 +502,16 @@ fn submit(state: &ServerState, req: &Json) -> Json {
             ])
             .to_string(),
         );
-        job.entries.push(Entry {
-            label,
-            key,
-            state: EntryState::Queued,
-        });
         items.push(WorkItem {
             job: job_id,
             idx,
             req,
+            key: key.clone(),
+        });
+        job.entries.push(Entry {
+            label,
+            key,
+            state: EntryState::Queued,
         });
     }
     let total = job.entries.len();

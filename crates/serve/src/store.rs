@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use piranha_harness::ResultStore;
 use piranha_system::RunResult;
+use piranha_types::Fnv64;
 
 use crate::envelope;
 
@@ -58,11 +59,14 @@ impl DiskStore {
     /// be arbitrarily long and contains characters hostile to
     /// filenames; the address is fixed-width and safe.
     pub fn address(key: &str) -> String {
-        let a = envelope::fnv1a(key.as_bytes());
-        // Second variant: different offset basis (FNV-0 style seed over
-        // a tag) so the two halves are independent.
-        let b = envelope::fnv1a(format!("piranha-store/{key}").as_bytes());
-        format!("{a:016x}{b:016x}")
+        let a = Fnv64::hash(key.as_bytes());
+        // Second variant: the hash of `piranha-store/{key}`, i.e. the
+        // state after a fixed tag continued over the key, so the two
+        // halves are independent.
+        let mut b = Fnv64::new();
+        b.write(b"piranha-store/");
+        b.write(key.as_bytes());
+        format!("{a:016x}{:016x}", b.finish())
     }
 
     /// The on-disk path an entry for `key` lives at.

@@ -1,13 +1,15 @@
 //! Measured results of a simulation window — the quantities the paper's
 //! figures are built from.
 
+use std::fmt::Write;
+
 use piranha_cpu::CoreStats;
 use piranha_faults::AvailabilityReport;
 use piranha_probe::{MetricsSnapshot, StallTable};
 use piranha_sample::SampleEstimate;
 use piranha_traffic::TrafficSummary;
 use piranha_types::time::Clock;
-use piranha_types::Duration;
+use piranha_types::{Duration, Fnv64};
 
 /// The Figure-5-style execution-time breakdown for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,11 +88,14 @@ impl RunResult {
     /// fingerprint whether or not observability was enabled; the
     /// determinism guard test asserts exactly that.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over a canonical rendering of the simulated fields.
-        // The availability digest and committed count are simulated
-        // quantities too: a disabled fault plane digests identically to
-        // the pre-fault-injection representation of the same run.
-        let repr = format!(
+        // FNV-1a over a canonical rendering of the simulated fields,
+        // streamed into the hash as it is formatted. The availability
+        // digest and committed count are simulated quantities too: a
+        // disabled fault plane digests identically to the
+        // pre-fault-injection representation of the same run.
+        let mut h = Fnv64::new();
+        write!(
+            h,
             "{}|{:?}|{:?}|{:?}|{}|{}|{:?}",
             self.name,
             self.window,
@@ -99,13 +104,9 @@ impl RunResult {
             self.mem_page_hit_rate.to_bits(),
             self.availability.digest(),
             self.committed_txns,
-        );
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        )
+        .expect("hashing a rendering cannot fail");
+        h.finish()
     }
 
     /// The per-core stall-attribution table (the Figure 5 breakdown at

@@ -21,10 +21,12 @@
 #![warn(missing_docs)]
 
 pub mod fastmap;
+pub mod fnv;
 pub mod ids;
 pub mod time;
 
 pub use fastmap::{FastBuildHasher, FastHasher, FastMap, FastSet};
+pub use fnv::Fnv64;
 pub use ids::{BankId, CacheKind, ChipCpuId, CpuId, NodeId};
 pub use time::{Duration, SimTime};
 

@@ -160,3 +160,30 @@ fn malformed_submissions_are_rejected_not_fatal() {
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread drains");
 }
+
+#[test]
+fn a_deeply_nested_line_is_rejected_and_the_server_survives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (addr, handle) = spawn_server(None);
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut out = stream.try_clone().expect("clone the socket");
+    let mut lines = BufReader::new(stream).lines();
+
+    // One megabyte of `[`: an unbounded recursive parser overflows its
+    // thread's stack here, which aborts the whole server process.
+    out.write_all("[".repeat(1 << 20).as_bytes()).unwrap();
+    out.write_all(b"\n").unwrap();
+    let reply = lines.next().expect("a reply line").expect("readable");
+    assert!(reply.contains("\"ok\":false"), "{reply}");
+    assert!(reply.contains("bad request"), "{reply}");
+
+    // The same connection still answers.
+    out.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+    let pong = lines.next().expect("a pong line").expect("readable");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+
+    let mut client = Client::connect(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread drains");
+}
