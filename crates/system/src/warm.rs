@@ -34,7 +34,7 @@ use piranha_cpu::{CoreStats, CpuAction, CpuCtx, CpuEvent, MemReq};
 use piranha_kernel::Component;
 use piranha_protocol::{EngineAction, EngineEvent, HomeIn, RemoteIn};
 use piranha_sample::{SampleConfig, SampleDriver, SampleTarget, WindowSample};
-use piranha_types::{CpuId, NodeId, SimTime};
+use piranha_types::{CpuId, Fnv64, NodeId, SimTime};
 
 use crate::dispatch::{Ev, LaneShared, NetPath};
 use crate::machine::Machine;
@@ -535,12 +535,7 @@ impl Machine {
                 ));
             }
         }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        Fnv64::hash(repr.as_bytes())
     }
 
     /// Functionally warm the machine until the total retired instruction
